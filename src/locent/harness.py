@@ -362,9 +362,12 @@ def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Full sweep over the n grid.
 
-    Per n: resolve the class (grid resolution may grow with n), compute the
-    entropy profile and stage schedule once, then run replicates; failures
-    are recorded as NaN without aborting the sweep.
+    Per n: resolve the class (grid resolution may grow with n), read the
+    stage schedule off the entropy profile, then run replicates; failures
+    are recorded as NaN without aborting the sweep.  The profile is built
+    once per distinct body: its constants, kind and seed are functions of
+    the body within a sweep, so a fixed-size body shares one profile
+    across every n.
     """
     risks: dict = {}
     stages_used: dict = {}
@@ -373,6 +376,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if cfg.theory:
         formula = theoretical_rate(cfg.theory, **cfg.theory_params)
 
+    profiles: dict = {}  # body.tag -> schedule profile
     for n in cfg.n_grid:
         body = body_for_n(cfg, n)
         truth = make_truth(body, cfg.truth)
@@ -381,8 +385,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         if cfg.stages is not None:
             stages = cfg.stages
         else:
-            profile = schedule_profile(cfg, body, constants, kind)
-            sched = stage_schedule(profile, n, constants, kind, body.diameter(),
+            if body.tag not in profiles:
+                profiles[body.tag] = schedule_profile(cfg, body, constants, kind)
+            sched = stage_schedule(profiles[body.tag], n, constants, kind, body.diameter(),
                                    max_stages=cfg.max_stages)
             stages = sched.j_star
         stages_used[n] = stages

@@ -132,6 +132,32 @@ def test_experiment_risks_and_theory_recorded():
     assert res.config_digest == cfg.digest()
 
 
+def _count_profiles(monkeypatch):
+    calls = []
+    real = harness.local_entropy
+
+    def counting(body, *a, **k):
+        calls.append(body.tag)
+        return real(body, *a, **k)
+
+    monkeypatch.setattr(harness, "local_entropy", counting)
+    return calls
+
+
+def test_experiment_fixed_body_builds_one_profile(monkeypatch):
+    calls = _count_profiles(monkeypatch)
+    run_experiment(small_config(body_params={"p": 1, "m": 6}, replicates=2))
+    assert calls == ["monotone_grid:6"]
+
+
+def test_experiment_auto_grid_builds_one_profile_per_n(monkeypatch):
+    calls = _count_profiles(monkeypatch)
+    cfg = small_config(replicates=2)
+    run_experiment(cfg)
+    assert calls == [body_for_n(cfg, n).tag for n in cfg.n_grid]
+    assert len(set(calls)) == len(cfg.n_grid)
+
+
 def test_experiment_failure_isolation(monkeypatch):
     calls = {"k": 0}
     real = harness._run_cell
