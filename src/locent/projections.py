@@ -14,22 +14,15 @@ from .errors import NoConvergence
 
 ABS_TOL = 1e-10
 MAX_ITER = 10_000
+_NEWTON_MAX_ITER = 100
 
 
-def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    """Project a vector onto the l1 ball of the given radius.
+def project_l1_ball_rows(X: np.ndarray, radius: float) -> np.ndarray:
+    """Row-wise projection of a (k, dim) matrix onto the l1 ball of a radius.
 
     Sort-based soft-thresholding (Duchi et al. style): find the shift theta
     such that sum(max(|x|-theta, 0)) = radius and apply it with signs.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if np.abs(x).sum() <= radius:
-        return x.copy()
-    return _l1_rows(x[None, :], radius)[0]
-
-
-def project_l1_ball_rows(X: np.ndarray, radius: float) -> np.ndarray:
-    """Row-wise l1-ball projection of a (k, dim) matrix."""
     X = np.asarray(X, dtype=np.float64)
     inside = np.abs(X).sum(axis=1) <= radius
     out = X.copy()
@@ -49,44 +42,47 @@ def _l1_rows(X: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(X) * np.maximum(a - theta[:, None], 0.0)
 
 
-def project_ellipsoid(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Project onto {theta : sum theta_i^2 / a_i <= 1} (a_i > 0).
+def _secular_root(Z: np.ndarray, d: np.ndarray, b: float) -> np.ndarray:
+    """Per row of Z, the lam >= 0 with sum d z^2 / (1 + lam d)^2 = b^2.
 
-    KKT gives theta_i = x_i * a_i / (a_i + lam); the multiplier solves the
-    scalar decreasing equation sum x_i^2 a_i / (a_i + lam)^2 = 1 by Newton
-    with a bisection safeguard.
+    Every row must lie outside, g(0) > b^2.  This is the trust-region
+    secular equation: with g(lam) the left side, phi = g^(-1/2) - 1/b is
+    convex and decreasing in lam, so Newton from lam = 0 rises
+    monotonically to the root (More & Sorensen, SIAM J. Sci. Stat. Comput.
+    1983).  A row leaves the active set once its step no longer moves lam.
     """
-    return project_ellipsoid_rows(np.asarray(x, dtype=np.float64)[None, :], a)[0]
+    w = Z * Z * d
+    lam = np.zeros(len(Z))
+    active = np.arange(len(Z))
+    for _ in range(_NEWTON_MAX_ITER):
+        la = lam[active]
+        t = 1.0 / (1.0 + la[:, None] * d)
+        wt2 = w[active] * t * t
+        g = wt2.sum(axis=1)
+        # Newton step on phi: (sqrt(g)/b - 1) g / (-g'/2)
+        new = la + g * (np.sqrt(g) / b - 1.0) / (wt2 * t * d).sum(axis=1)
+        moved = new > la
+        lam[active[moved]] = new[moved]
+        active = active[moved]
+        if not len(active):
+            return lam
+    raise NoConvergence(f"secular Newton still moving after {_NEWTON_MAX_ITER} steps")
 
 
 def project_ellipsoid_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-wise projection onto {theta : sum theta_i^2 / a_i <= 1} (a_i > 0).
+
+    KKT gives theta_i = x_i a_i / (a_i + lam), where the multiplier solves
+    sum x_i^2 a_i / (a_i + lam)^2 = 1: the secular equation with d = 1/a.
+    """
     X = np.asarray(X, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    lhs = (X * X / a).sum(axis=1)
-    outside = lhs > 1.0 + 1e-15
+    outside = (X * X / a).sum(axis=1) > 1.0 + 1e-15
     out = X.copy()
-    if not outside.any():
-        return out
-    Y = X[outside]
-    # g(lam) = sum x^2 a / (a + lam)^2 is decreasing; bracket then bisect.
-    lo = np.zeros(len(Y))
-    hi = np.full(len(Y), float(a.max()))
-    while True:
-        g_hi = ((Y * Y) * a / (a + hi[:, None]) ** 2).sum(axis=1)
-        mask = g_hi > 1.0
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = ((Y * Y) * a / (a + mid[:, None]) ** 2).sum(axis=1)
-        high = g > 1.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-        if np.max(hi - lo) < 1e-14 * max(1.0, float(a.max())):
-            break
-    lam = 0.5 * (lo + hi)
-    out[outside] = Y * a / (a + lam[:, None])
+    if outside.any():
+        Y = X[outside]
+        lam = _secular_root(Y, 1.0 / a, 1.0)
+        out[outside] = Y * a / (a + lam[:, None])
     return out
 
 
@@ -99,58 +95,31 @@ def isotonic_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_monotone_box_1d(x: np.ndarray) -> np.ndarray:
-    """Exact projection onto non-decreasing vectors with entries in [0, 1].
+def project_monotone_box_1d_rows(X: np.ndarray) -> np.ndarray:
+    """Exact row-wise projection onto non-decreasing vectors in [0, 1]^dim.
 
     Clipping an isotonic regression to constant bounds preserves optimality,
     so PAVA followed by a clip is the exact projection for the 1-D chain.
     """
-    return np.clip(isotonic_regression(np.asarray(x, dtype=np.float64), increasing=True).x, 0.0, 1.0)
-
-
-def project_monotone_box_1d_rows(X: np.ndarray) -> np.ndarray:
     return np.clip(isotonic_rows(X), 0.0, 1.0)
 
 
-def project_quad_ball(x: np.ndarray, evecs: np.ndarray, evals: np.ndarray, bound: float) -> np.ndarray:
-    """Project onto {f : ||A f||_2 <= bound} given the eigensystem of A^T A.
+def project_quad_ball_rows(X: np.ndarray, evecs: np.ndarray, evals: np.ndarray, bound: float) -> np.ndarray:
+    """Row-wise projection onto {f : ||A f||_2 <= bound} given the eigensystem
+    of A^T A.
 
     f = (I + lam A^T A)^{-1} x with lam >= 0 solving ||A f|| = bound when x is
-    infeasible; solved in the eigenbasis by bisection on the decreasing scalar
-    map lam -> sum d z^2 / (1 + lam d)^2.
+    infeasible; in the eigenbasis z = evecs^T x this is the secular equation
+    sum d z^2 / (1 + lam d)^2 = bound^2 with d = evals.
     """
-    return project_quad_ball_rows(np.asarray(x, dtype=np.float64)[None, :], evecs, evals, bound)[0]
-
-
-def project_quad_ball_rows(X: np.ndarray, evecs: np.ndarray, evals: np.ndarray, bound: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     Z = X @ evecs
-    val = (Z * Z * evals).sum(axis=1)
-    b2 = bound * bound
-    outside = val > b2 + 1e-15
+    outside = (Z * Z * evals).sum(axis=1) > bound * bound + 1e-15
     out = X.copy()
-    if not outside.any():
-        return out
-    Zo = Z[outside]
-    lo = np.zeros(len(Zo))
-    hi = np.ones(len(Zo))
-    while True:
-        g = (Zo * Zo * evals / (1.0 + hi[:, None] * evals) ** 2).sum(axis=1)
-        mask = g > b2
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = (Zo * Zo * evals / (1.0 + mid[:, None] * evals) ** 2).sum(axis=1)
-        high = g > b2
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-        if np.max(hi - lo) <= 1e-13 * (1.0 + np.max(hi)):
-            break
-    lam = 0.5 * (lo + hi)
-    Znew = Zo / (1.0 + lam[:, None] * evals)
-    out[outside] = Znew @ evecs.T
+    if outside.any():
+        Zo = Z[outside]
+        lam = _secular_root(Zo, evals, bound)
+        out[outside] = (Zo / (1.0 + lam[:, None] * evals)) @ evecs.T
     return out
 
 

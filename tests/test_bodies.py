@@ -11,6 +11,7 @@ from locent.bodies import (
     make_body,
     moment_ratio_check,
 )
+from locent import projections as proj
 from locent.errors import DimensionMismatch
 
 ALL_BODIES = [
@@ -104,6 +105,68 @@ def test_projection_variational_inequality(body):
 
 
 # -- samplers ----------------------------------------------------------------
+
+
+# -- the secular equation behind the ellipsoid and quad-ball projections -------
+
+
+def _bisect_multiplier(z, d, b):
+    """Root of sum d z^2 / (1 + lam d)^2 = b^2, bisected until the bracket
+    cannot shrink."""
+    g = lambda lam: float((d * z * z / (1.0 + lam * d) ** 2).sum())  # noqa: E731
+    lo, hi = 0.0, 1.0
+    while g(hi) > b * b:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        lo, hi = (mid, hi) if g(mid) > b * b else (lo, mid)
+
+
+def _secular_cases():
+    """(X, d, b, evecs): Sobolev ellipsoids (d = 1/a, b = 1, evecs None) and
+    Hölder lag matrices (d = eigenvalues of A^T A, b = lag bound).  Rows lie
+    from half to a thousand times the boundary's scale along their ray."""
+    rng = np.random.default_rng(20240601)
+
+    def rows(d, b, evecs, dim):
+        Z = rng.standard_normal((64, dim))
+        Z *= (b * 10.0 ** rng.uniform(-0.3, 3.0, size=64)
+              / np.sqrt((Z * Z * d).sum(axis=1)))[:, None]
+        return Z if evecs is None else Z @ evecs.T
+
+    for p in (2, 6, 32):
+        d = 1.0 / LinearEllipsoid.sobolev(p).a
+        yield rows(d, 1.0, None, p), d, 1.0, None
+    for m in (4, 16, 64):
+        body = HolderGrid(0.6, 1.0, m)
+        for k in (1, m // 2, m - 1):
+            evecs, evals = body._lag_eig(k)
+            b = body.lag_bound(k)
+            yield rows(evals, b, evecs, m), evals, b, evecs
+
+
+def test_secular_solver_matches_bisection_and_kkt():
+    for X, d, b, evecs in _secular_cases():
+        Z = X if evecs is None else X @ evecs
+        outside = (Z * Z * d).sum(axis=1) > b * b + 1e-15
+        assert 0 < outside.sum() < len(Z)
+        lam = proj._secular_root(Z[outside], d, b)
+        ref = np.array([_bisect_multiplier(z, d, b) for z in Z[outside]])
+        # KKT: a nonnegative multiplier that puts the row on the boundary
+        assert np.all(lam >= 0.0)
+        g = (d * Z[outside] ** 2 / (1.0 + lam[:, None] * d) ** 2).sum(axis=1)
+        assert np.max(np.abs(g - b * b)) <= 1e-12 * b * b
+        # the public projection against the bisection reference
+        if evecs is None:
+            got = proj.project_ellipsoid_rows(X, 1.0 / d)[outside]
+            want = X[outside] / (1.0 + ref[:, None] * d)
+        else:
+            got = proj.project_quad_ball_rows(X, evecs, d, b)[outside]
+            want = (Z[outside] / (1.0 + ref[:, None] * d)) @ evecs.T
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert np.max(err) <= 1e-12
 
 
 @pytest.mark.parametrize("body", ALL_BODIES, ids=IDS)
