@@ -1,6 +1,8 @@
 """Local metric entropy, multiscale packing estimation, and minimax-rate
 experiments for bounded convex function classes."""
 
+__version__ = "0.1.0"  # defined before the submodules, which import it
+
 from .bodies import (
     ConvexBody,
     DesignDistribution,
@@ -49,5 +51,3 @@ from .rates import (
     theoretical_rate,
 )
 from .widths import WidthEstimate, gaussian_width, sudakov_entropy_bound
-
-__version__ = "0.1.0"

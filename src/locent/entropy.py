@@ -185,7 +185,7 @@ def local_entropy(
     return EntropyProfile(
         c=float(c), kind=mode, eps=eps_grid, log_m=log_m, exact=False,
         center=ctr, pool_size=budget.pool_size, seed=seed,
-        center_id="" if ctr is None else f"adaptive@{hash(ctr.tobytes()) & 0xFFFF:04x}",
+        center_id="" if ctr is None else f"adaptive@{derive_seed(0, ctr) & 0xFFFF:04x}",
     )
 
 

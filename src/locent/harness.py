@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .bodies import (
     ConvexBody,
     DesignDistribution,
@@ -46,8 +47,6 @@ from .estimator import (
 from .points import MetricPoint, as_coords
 from .rates import RateFormula, theoretical_rate
 from .seeds import derive_seed, rng_for
-
-__version__ = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,8 @@ def _config_payload(cfg: ExperimentConfig) -> dict:
         "stages": cfg.stages,
         "max_stages": cfg.max_stages,
         "pool": [cfg.pool.size, cfg.pool.growth, cfg.pool.cap, cfg.pool.axis_steps,
-                 cfg.pool.extreme_pulls, cfg.pool.sparsify, cfg.pool.max_axis_dims],
+                 cfg.pool.extreme_pulls, cfg.pool.sparsify, cfg.pool.max_axis_dims,
+                 cfg.pool.support_moves],
         "profile": [cfg.profile_budget.pool_size, cfg.profile_budget.centers],
         "risk_eval": cfg.risk_eval,
         "fresh_m": cfg.fresh_m,
@@ -236,10 +236,8 @@ def body_for_n(cfg: ExperimentConfig, n: int) -> ConvexBody:
 
 
 def constants_for(cfg: ExperimentConfig, body: ConvexBody) -> RateConstants:
-    if cfg.condition_kind == "adaptive" or (
-        cfg.condition_kind == "auto" and body.sup_bound is None
-    ):
-        pass  # adaptive uses the same L as its boundedness case below
+    """Rate constants of the body's boundedness case; the adaptive condition
+    uses the same ones."""
     if body.sup_bound is not None:
         return RateConstants.bounded(
             cfg.C, cfg.noise.sigma, body.sup_bound, cfg.practical_scale
@@ -359,24 +357,35 @@ def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
     return float(np.mean(diffs * diffs))
 
 
+def _cell_or_nan(job: tuple) -> float:
+    """:func:`_run_cell` on one job tuple; a failed replicate gives NaN."""
+    try:
+        return _run_cell(*job)
+    except Exception:
+        return np.nan
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Full sweep over the n grid.
 
-    Per n: resolve the class (grid resolution may grow with n), read the
-    stage schedule off the entropy profile, then run replicates; failures
-    are recorded as NaN without aborting the sweep.  The profile is built
-    once per distinct body: its constants, kind and seed are functions of
-    the body within a sweep, so a fixed-size body shares one profile
-    across every n.
+    Per n: resolve the class (grid resolution may grow with n) and read the
+    stage schedule off the entropy profile.  The profile is built once per
+    distinct body: its constants, kind and seed are functions of the body
+    within a sweep, so a fixed-size body shares one profile across every n.
+    Then all replicates of all n run, serially or on one pool of
+    ``threads`` processes; a failed replicate is recorded as NaN without
+    aborting the sweep, and the outputs do not depend on ``threads``.
     """
-    risks: dict = {}
-    stages_used: dict = {}
     theory_vals: dict = {}
     formula: RateFormula | None = None
     if cfg.theory:
         formula = theoretical_rate(cfg.theory, **cfg.theory_params)
 
     profiles: dict = {}  # body.tag -> schedule profile
+    stages_used: dict = {}
+    d2: dict = {}
+    jobs = []
+    fresh_seed = derive_seed(cfg.master_seed, "fresh")
     for n in cfg.n_grid:
         body = body_for_n(cfg, n)
         truth = make_truth(body, cfg.truth)
@@ -391,29 +400,21 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                                    max_stages=cfg.max_stages)
             stages = sched.j_star
         stages_used[n] = stages
-        fresh_seed = derive_seed(cfg.master_seed, "fresh")
-        cell = lambda rep: _run_cell(cfg, n, rep, stages, body, truth, fresh_seed)
-        out = np.full(cfg.replicates, np.nan)
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                futures = {rep: ex.submit(_run_cell, cfg, n, rep, stages, body, truth,
-                                          fresh_seed) for rep in range(cfg.replicates)}
-                for rep in sorted(futures):
-                    try:
-                        out[rep] = futures[rep].result()
-                    except Exception:
-                        out[rep] = np.nan
-        else:
-            for rep in range(cfg.replicates):
-                try:
-                    out[rep] = cell(rep)
-                except Exception:
-                    out[rep] = np.nan
-        if not np.any(np.isfinite(out)):
-            raise InsufficientData(f"all replicates failed at n={n}")
-        risks[n] = out
+        d2[n] = body.diameter() ** 2
+        jobs += [(cfg, n, rep, stages, body, truth, fresh_seed)
+                 for rep in range(cfg.replicates)]
         if formula is not None:
             theory_vals[n] = float(formula.risk(n))
+
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            flat = list(pool.map(_cell_or_nan, jobs))
+    else:
+        flat = [_cell_or_nan(job) for job in jobs]
+    risks = dict(zip(cfg.n_grid, np.array(flat).reshape(len(cfg.n_grid), cfg.replicates)))
+    for n, out in risks.items():
+        if not np.any(np.isfinite(out)):
+            raise InsufficientData(f"all replicates failed at n={n}")
 
     mean_risk = {n: float(np.nanmean(risks[n])) for n in cfg.n_grid}
     std_error = {
@@ -422,7 +423,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     }
 
     # slope fit, excluding cells in the diameter^2 ceiling regime
-    d2 = {n: body_for_n(cfg, n).diameter() ** 2 for n in cfg.n_grid}
     excluded = [
         int(n)
         for n in cfg.n_grid

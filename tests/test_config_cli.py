@@ -111,6 +111,13 @@ def test_config_digest_canonical():
     assert a != c
 
 
+def test_config_digest_covers_support_moves():
+    a = load_config_text(MONOTONE_INI + "support_moves = 64\n")
+    b = load_config_text(MONOTONE_INI + "support_moves = 8\n")
+    assert a.pool.support_moves != b.pool.support_moves
+    assert a.digest() != b.digest()
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     p = tmp_path / "exp.ini"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,3 +191,22 @@ def test_profile_csv_roundtrip():
     assert np.array_equal(back.eps, prof.eps)
     assert np.array_equal(back.log_m, prof.log_m)
     assert back.c == prof.c and back.kind == prof.kind and back.exact == prof.exact
+
+
+def test_adaptive_profile_csv_same_across_hash_seeds():
+    script = (
+        "from locent.bodies import LinearL1\n"
+        "from locent.entropy import EntropyBudget, local_entropy\n"
+        "prof = local_entropy(LinearL1(3, 1.0), [0.5, 1.0], 2.0, mode='adaptive',\n"
+        "                     center=[1.0, 0.0, 0.0], budget=EntropyBudget(16, 0), seed=3)\n"
+        "print(prof.to_csv(), end='')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True).stdout)
+    assert outs[0] == outs[1]
+    assert b"adaptive@" in outs[0]

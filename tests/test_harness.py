@@ -132,6 +132,11 @@ def test_experiment_risks_and_theory_recorded():
     assert res.config_digest == cfg.digest()
 
 
+def test_experiment_threads_byte_identical():
+    cfg = small_config()
+    assert run_experiment(cfg, threads=2).rows_csv() == run_experiment(cfg).rows_csv()
+
+
 def _count_profiles(monkeypatch):
     calls = []
     real = harness.local_entropy

@@ -9,6 +9,7 @@ from locent.packing import (
     greedy_select,
 )
 from locent.points import Ball
+from locent.seeds import rng_for
 
 from conftest import UnitBox, brute_force_max_packing, sweep_max_separated_1d
 
@@ -136,7 +137,7 @@ def test_exhaustive_matches_1d_sweep_oracle_and_bounds_greedy():
     ids=lambda b: b.kind + str(b.dim),
 )
 def test_packing_invariants_randomized(body):
-    rng = np.random.default_rng(hash(body.kind) % 2**32)
+    rng = rng_for(0, "packing-invariants", body.tag)
     d = body.diameter()
     for trial in range(12):
         center = body.point(body.sample_rows(1, rng)[0])
