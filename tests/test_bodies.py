@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locent import projections as proj
 from locent.bodies import (
     DesignDistribution,
     HolderGrid,
@@ -11,7 +12,6 @@ from locent.bodies import (
     make_body,
     moment_ratio_check,
 )
-from locent import projections as proj
 from locent.errors import DimensionMismatch
 
 ALL_BODIES = [
@@ -104,9 +104,6 @@ def test_projection_variational_inequality(body):
         assert inner.max() <= 1e-6
 
 
-# -- samplers ----------------------------------------------------------------
-
-
 # -- the secular equation behind the ellipsoid and quad-ball projections -------
 
 
@@ -167,6 +164,9 @@ def test_secular_solver_matches_bisection_and_kkt():
             want = (Z[outside] / (1.0 + ref[:, None] * d)) @ evecs.T
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert np.max(err) <= 1e-12
+
+
+# -- samplers ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("body", ALL_BODIES, ids=IDS)
