@@ -41,7 +41,7 @@ from .harness import (
     fit_rate_slope,
     run_experiment,
 )
-from .packing import PackingSet, exhaustive_max_packing, greedy_max_packing
+from .packing import exhaustive_max_packing, greedy_max_packing
 from .points import Ball, MetricPoint
 from .rates import (
     RateCertificate,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import projections as proj
 from .errors import Degenerate, DimensionMismatch, UnboundedClassWithoutMomentConstant
-from .points import Ball, MetricPoint, as_coords
+from .points import MetricPoint, as_coords
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -87,10 +87,6 @@ class ConvexBody:
         rng = _as_rng(seed_or_rng)
         return self.point(self.sample_rows(1, rng)[0])
 
-    def ball(self, center, radius: float) -> Ball:
-        center = center if isinstance(center, MetricPoint) else self.point(center)
-        return Ball(center, float(radius))
-
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -107,9 +103,10 @@ def dist(body: ConvexBody, f, g) -> float:
 
 
 def dist_rows(body: ConvexBody, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Distances from each row of ``rows`` to the single vector ``x``."""
-    d = rows - x[None, :]
-    return body.metric_scale * np.sqrt((d * d).sum(axis=1))
+    """Distances from each row of ``rows`` to ``x``, reduced over the last
+    axis, so ``dist_rows(body, pts[:, None, :], pts)`` is the pairwise matrix."""
+    d = rows - x
+    return body.metric_scale * np.sqrt((d * d).sum(axis=-1))
 
 
 def pull_into_ball(body: ConvexBody, rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -68,7 +68,7 @@ _EXPERIMENT_KEYS = {
 _CONSTANT_KEYS = {"c", "practical_scale", "b", "alpha"}
 _BUDGET_KEYS = {
     "pool_size", "pool_growth", "pool_cap", "profile_pool", "profile_centers",
-    "max_stages", "axis_steps", "extreme_pulls", "sparsify", "support_moves",
+    "max_stages", "axis_steps", "extreme_pulls", "support_moves",
 }
 
 
@@ -200,7 +200,6 @@ def load_config_text(text: str) -> ExperimentConfig:
             cap=int(sec.get("pool_cap", 4096)),
             axis_steps=sec.getboolean("axis_steps", True),
             extreme_pulls=sec.getboolean("extreme_pulls", True),
-            sparsify=sec.getboolean("sparsify", True),
             support_moves=int(sec.get("support_moves", 64)),
         )
         profile = EntropyBudget(

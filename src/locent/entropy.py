@@ -20,7 +20,7 @@ import numpy as np
 from .bodies import ConvexBody, dist_rows
 from .errors import GridMismatch, NonMonotoneProfile
 from .packing import exhaustive_max_packing, greedy_max_packing
-from .points import Ball, MetricPoint, as_coords
+from .points import Ball, as_coords
 from .seeds import derive_seed
 
 

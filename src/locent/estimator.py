@@ -227,6 +227,8 @@ class RegressionData:
 # Pool budgets and structured candidates
 # ---------------------------------------------------------------------------
 
+MAX_AXIS_DIMS = 128  # axis steps add 4 dim rows, so they stop past this dim
+
 
 @dataclass(frozen=True)
 class PoolBudget:
@@ -237,9 +239,7 @@ class PoolBudget:
     cap: int = 4096
     axis_steps: bool = True
     extreme_pulls: bool = True
-    sparsify: bool = True
     support_moves: int = 64  # seeded moves in the span of the largest coords
-    max_axis_dims: int = 128
 
     def stage_size(self, k: int) -> int:
         return int(min(self.cap, round(self.size * self.growth ** (k - 1))))
@@ -252,8 +252,8 @@ def structured_candidates(
     budget: PoolBudget,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Pool extras: extreme pulls and blends, axis steps, sparsified centers,
-    and support-subspace refinement moves.
+    """Pool extras: extreme pulls and blends, axis steps, and
+    support-subspace refinement moves.
 
     Pure function of (body, center, radius) and the supplied generator, which
     the estimator derives from (run seed, stage, center hash); contraction
@@ -273,19 +273,12 @@ def structured_candidates(
                 rows.append(center[None, :] + frac[:, None] * diff)
             away = center[None, :] - (0.125 * radius / norms)[:, None] * diff
             rows.append(body.project_rows(away))
-    if budget.axis_steps and body.dim <= budget.max_axis_dims:
+    if budget.axis_steps and body.dim <= MAX_AXIS_DIMS:
         coord_step = radius / body.metric_scale
         eye = np.eye(body.dim)
         for s in (coord_step, 0.5 * coord_step):
             bumps = np.vstack([center[None, :] + s * eye, center[None, :] - s * eye])
             rows.append(body.feasible_rows(bumps))
-    if budget.sparsify:
-        k = 1
-        while k < body.dim:
-            thr = np.partition(np.abs(center), body.dim - k)[body.dim - k]
-            sparse = np.where(np.abs(center) >= thr, center, 0.0)
-            rows.append(body.feasible_rows(sparse[None, :]))
-            k *= 2
     if budget.support_moves > 0 and rng is not None and body.dim > 2:
         k = min(16, body.dim)
         top = np.argsort(-np.abs(center), kind="stable")[:k]
@@ -404,7 +397,7 @@ def run_algorithm1(
         if truth_injection is not None:
             pulled = pull_into_ball(body, truth_injection.coords[None, :], cur, radius)
             extras = np.vstack([extras, pulled]) if len(extras) else pulled
-        packing = greedy_max_packing(
+        rows = greedy_max_packing(
             body,
             Ball(body.point(cur), radius),
             separation,
@@ -412,19 +405,18 @@ def run_algorithm1(
             pool_budget.stage_size(k),
             extra_candidates=extras if len(extras) else None,
         )
-        if len(packing) == 0:
+        if len(rows) == 0:
             raise EmptyPacking(f"stage {k} produced no centers")
-        rows = packing.centers_array
         rss = data.rss(rows)
         best = float(rss.min())
         ties = np.flatnonzero(rss == best)
         if len(ties) > 1:
             ties = sorted(ties, key=lambda i: tuple(rows[i]))
         pick = int(ties[0])
-        cur = rows[pick]
-        ups.append(packing.centers[pick])
+        ups.append(body.point(rows[pick]))
+        cur = ups[-1].coords
         radii.append(radius)
-        sizes.append(len(packing))
+        sizes.append(len(rows))
         chosen.append(pick)
 
     truth_d = None
@@ -525,10 +517,35 @@ def stage_schedule(
 # ---------------------------------------------------------------------------
 
 
+def _psi_from_gap(gap, mag, n: int, dim: int):
+    """psi = 1 where the gap rss_f - rss_g is >= 0, or a tie.
+
+    ``mag`` is the gap's sum taken over input magnitudes.  The gap is a sum
+    of n + 2 dim rounded products, so (n + 2 dim + 8) eps mag bounds its
+    rounding error with margin, and a computed gap that close to zero is a
+    tie.
+    """
+    tie = (n + 2 * dim + 8) * np.finfo(np.float64).eps
+    return gap >= -tie * mag
+
+
 def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
-    """psi(Y) = 1 iff the residual sum of squares at f is >= that at g."""
+    """psi(Y) = 1 iff the residual sum of squares at f is >= that at g.
+
+    Decided from the gap rss_f - rss_g = sum_i u(x_i) (2 y_i - s(x_i)) with
+    u = g - f and s = f + g; a tie gives psi = 1 even when rounding puts the
+    computed gap just below zero.
+    """
     fc, gc = as_coords(f), as_coords(g)
     if dist(body, fc, gc) == 0.0:
         raise IdenticalHypotheses("test needs two distinct hypotheses")
-    rss = data.rss(np.vstack([fc, gc]))
-    return bool(rss[0] >= rss[1])
+    mag_u = np.abs(fc) + np.abs(gc)
+    if data.design_matrix is not None:
+        X = data.design_matrix
+        u, s, mu = X @ (gc - fc), X @ (fc + gc), np.abs(X) @ mag_u
+    else:
+        idx = data.node_index
+        u, s, mu = (gc - fc)[idx], (fc + gc)[idx], mag_u[idx]
+    gap = float(u @ (2.0 * data.y - s))
+    mag = float(mu @ (2.0 * np.abs(data.y) + mu))
+    return bool(_psi_from_gap(gap, mag, data.n, body.dim))

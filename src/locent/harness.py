@@ -40,7 +40,7 @@ from .estimator import (
     PoolBudget,
     RateConstants,
     RegressionData,
-    pairwise_test_psi,
+    _psi_from_gap,
     run_algorithm1,
     stage_schedule,
 )
@@ -215,8 +215,7 @@ def _config_payload(cfg: ExperimentConfig) -> dict:
         "stages": cfg.stages,
         "max_stages": cfg.max_stages,
         "pool": [cfg.pool.size, cfg.pool.growth, cfg.pool.cap, cfg.pool.axis_steps,
-                 cfg.pool.extreme_pulls, cfg.pool.sparsify, cfg.pool.max_axis_dims,
-                 cfg.pool.support_moves],
+                 cfg.pool.extreme_pulls, cfg.pool.support_moves],
         "profile": [cfg.profile_budget.pool_size, cfg.profile_budget.centers],
         "risk_eval": cfg.risk_eval,
         "fresh_m": cfg.fresh_m,
@@ -637,16 +636,13 @@ def check_test_error(
     gaps = _gaps_exact if _exact_law_applies(body, design, noise, n) else _gaps_direct
     u, s = gc - fc, fc + gc
     mag_u = np.abs(fc) + np.abs(gc)
-    # rounding bound, with margin, of the gap's sum of n + 2 dim products:
-    # a computed gap this close to zero is taken as a tie
-    tie = (n + 2 * body.dim + 8) * np.finfo(np.float64).eps
 
     def psi_one_count(truth: np.ndarray) -> int:
         # stream keyed by the truth so swapping f and g mirrors exactly
         rng = rng_for(seed, "test-error", truth)
         gap, mag = gaps(body, design, noise, n, trials, rng,
                         u, 2.0 * truth - s, mag_u, 2.0 * np.abs(truth) + mag_u)
-        return int(np.count_nonzero(gap >= -tie * mag))
+        return int(np.count_nonzero(_psi_from_gap(gap, mag, n, body.dim)))
 
     return TestErrorReport(
         freq_h0=psi_one_count(bc) / trials,

@@ -11,52 +11,14 @@ oracle for the greedy one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bodies import ConvexBody, dist_rows, pull_into_ball
 from .errors import CapExceeded, EmptyPool, NonmemberCenter
-from .points import Ball, MetricPoint, as_coords
+from .points import Ball, as_coords
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """Provenance of the candidate pool behind a greedy packing."""
-
-    seed: int
-    size: int
-    extras: int = 0
-
-
-@dataclass
-class PackingSet:
-    """Strictly separated centers inside ball-and-class, plus pool provenance."""
-
-    centers: list[MetricPoint]
-    separation: float
-    ball: Ball
-    pool_spec: PoolSpec
-
-    def __len__(self) -> int:
-        return len(self.centers)
-
-    @property
-    def centers_array(self) -> np.ndarray:
-        return np.stack([c.coords for c in self.centers])
-
-    def min_pairwise_distance(self, body: ConvexBody) -> float:
-        pts = self.centers_array
-        if len(pts) < 2:
-            return np.inf
-        d = pts[:, None, :] - pts[None, :, :]
-        dm = body.metric_scale * np.sqrt((d * d).sum(axis=2))
-        return float(dm[np.triu_indices(len(pts), k=1)].min())
-
-
 GRAM_LIMIT = 4500
 
 
@@ -106,7 +68,7 @@ def build_pool(
     pool_seed: int,
     pool_size: int,
     extra_candidates: np.ndarray | None = None,
-) -> tuple[np.ndarray, PoolSpec]:
+) -> np.ndarray:
     """Seeded candidate pool inside ball-and-class.
 
     Pool = projected ball center + sampled members contracted into the ball
@@ -128,12 +90,9 @@ def build_pool(
             spread = 0.3 + 1.2 * rng.random(n_local)
             raw = center[None, :] + g * (coord_scale * spread / np.sqrt(body.dim))[:, None]
             rows.append(body.feasible_rows(raw))
-    n_extra = 0
     if extra_candidates is not None and len(extra_candidates):
         rows.append(np.atleast_2d(np.asarray(extra_candidates, dtype=np.float64)))
-        n_extra = len(rows[-1])
-    pool = pull_into_ball(body, np.vstack(rows), center, ball.radius)
-    return pool, PoolSpec(seed=pool_seed, size=pool_size, extras=n_extra)
+    return pull_into_ball(body, np.vstack(rows), center, ball.radius)
 
 
 def greedy_max_packing(
@@ -144,19 +103,21 @@ def greedy_max_packing(
     pool_size: int,
     extra_candidates: np.ndarray | None = None,
     validate: bool = False,
-) -> PackingSet:
+) -> np.ndarray:
     """Pool-maximal greedy packing of ball-and-class at strict separation.
 
-    Deterministic given (body, ball, separation, pool_seed, pool_size,
-    extras).  The first center is the ball center projected into the class.
+    Returns the centers as a ``(k, dim)`` array of pool rows in selection
+    order.  Deterministic given (body, ball, separation, pool_seed,
+    pool_size, extras).  The first center is the ball center projected into
+    the class.
     """
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not 0 < separation < np.inf:
+        raise ValueError("separation must be positive and finite")
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
     if not body.contains(ball.center):
         raise NonmemberCenter("ball center fails class membership")
-    pool, spec = build_pool(body, ball, pool_seed, pool_size, extra_candidates)
+    pool = build_pool(body, ball, pool_seed, pool_size, extra_candidates)
     if len(pool) == 0:
         raise EmptyPool("no pool candidate lies in ball and class")
     if validate:
@@ -167,17 +128,18 @@ def greedy_max_packing(
             pool = pool[keep]
         if len(pool) == 0:
             raise EmptyPool("no pool candidate lies in ball and class")
-    idx = greedy_select(body, pool, separation, start=0)
-    centers = [body.point(pool[i]) for i in idx]
-    packing = PackingSet(centers=centers, separation=separation, ball=ball, pool_spec=spec)
+    # a non-finite row would keep the farthest-point loop from ever stopping
+    if not np.isfinite(pool).all():
+        raise ValueError("pool candidates must be finite")
+    centers = pool[greedy_select(body, pool, separation, start=0)]
     if validate:
-        assert packing.min_pairwise_distance(body) > separation
-        sel = packing.centers_array
+        pair = dist_rows(body, centers[:, None, :], centers)
+        assert (pair[np.triu_indices(len(centers), k=1)] > separation).all()
         mind = np.full(len(pool), np.inf)
-        for row in sel:
+        for row in centers:
             mind = np.minimum(mind, dist_rows(body, pool, row))
         assert mind.max() <= separation + 1e-12
-    return packing
+    return centers
 
 
 def exhaustive_max_packing(
@@ -185,12 +147,13 @@ def exhaustive_max_packing(
     candidates,
     separation: float,
     cap: int = EXHAUSTIVE_CAP,
-) -> PackingSet:
+) -> np.ndarray:
     """Maximum-cardinality strictly separated subset of explicit candidates.
 
     Branch and bound over the conflict graph; among maximum subsets the one
-    preferring lexicographically smaller coordinate vectors is returned.
-    Intended for candidate lists of at most ``cap`` points.
+    preferring lexicographically smaller coordinate vectors is returned, as
+    a ``(k, dim)`` array of its rows in lexicographic order.  Intended for
+    candidate lists of at most ``cap`` points.
     """
     pts = np.stack([as_coords(c) for c in candidates])
     n = len(pts)
@@ -200,9 +163,7 @@ def exhaustive_max_packing(
         raise CapExceeded(f"{n} candidates exceed cap {cap}")
     order = sorted(range(n), key=lambda i: tuple(pts[i]))
     pts = pts[order]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dm = body.metric_scale * np.sqrt((diff * diff).sum(axis=2))
-    compat = dm > separation  # strict
+    compat = dist_rows(body, pts[:, None, :], pts) > separation  # strict
     np.fill_diagonal(compat, False)
     # bitmask of candidates compatible with vertex i
     masks = [sum(1 << j for j in range(n) if compat[i, j]) for i in range(n)]
@@ -226,17 +187,4 @@ def exhaustive_max_packing(
         search(chosen, rest)
 
     search([], (1 << n) - 1)
-    sel = sorted(best)
-    centers = [body.point(pts[i]) for i in sel]
-    if len(centers) >= 1:
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        mid = body.point(0.5 * (lo + hi)) if body.contains_coords(0.5 * (lo + hi)) else centers[0]
-        radius = max(dist_rows(body, pts, mid.coords).max(), 0.0)
-    ball = Ball(mid, float(radius))
-    return PackingSet(
-        centers=centers,
-        separation=separation,
-        ball=ball,
-        pool_spec=PoolSpec(seed=0, size=n, extras=0),
-    )
+    return pts[sorted(best)]

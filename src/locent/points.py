@@ -44,8 +44,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.radius < np.inf:
+            raise ValueError("radius must be nonnegative and finite")
 
 
 def as_coords(point) -> np.ndarray:

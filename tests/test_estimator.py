@@ -196,6 +196,24 @@ def test_psi_antisymmetry_when_residuals_differ():
         assert pairwise_test_psi(body, f, g, data) != pairwise_test_psi(body, g, f, data)
 
 
+def test_psi_exact_ties_give_one():
+    # g - f is the constant h = 0.6; with k plus signs among n = 40 unit
+    # errors the gap rss_f - rss_g is h (2 (2k - n) - h n) with the truth at
+    # f and h (2 (2k - n) + h n) with it at g, so k = 26 and k = 14 are exact
+    # ties whose decimal inputs round the computed gap to either side of 0
+    body = MonotoneGrid(1, 2)
+    f, g = body.point([0.1, 0.3]), body.point([0.7, 0.9])
+    n = 40
+    rng = np.random.default_rng(5)
+    for truth, plus in [(f, 26), (g, 14)]:
+        for k, want in [(plus - 1, False), (plus, True), (plus + 1, True)]:
+            for _ in range(100):
+                idx = rng.integers(0, 2, size=n)
+                e = np.where(rng.permutation(n) < k, 1.0, -1.0)
+                data = RegressionData(y=truth.coords[idx] + e, node_index=idx)
+                assert pairwise_test_psi(body, f, g, data) is want, (k, idx, e)
+
+
 def test_psi_identical_hypotheses():
     body = LinearL1(3, 1.0)
     f = body.point([0.5, 0.0, 0.0])

@@ -29,13 +29,13 @@ def test_greedy_interval_sep_half_two_centers():
         INTERVAL, Ball(interval_pt(0.0), 1.0), 0.5, pool_seed=3, pool_size=128, validate=True
     )
     assert len(pack) == 2
-    assert sorted(c.coords[0] for c in pack.centers) == [0.0, 1.0]
+    assert sorted(c[0] for c in pack) == [0.0, 1.0]
 
 
 def test_greedy_separation_at_least_diameter_single_center():
     pack = greedy_max_packing(INTERVAL, Ball(interval_pt(0.0), 1.0), 1.0, pool_seed=3, pool_size=64)
     assert len(pack) == 1
-    assert pack.centers[0].coords[0] == 0.0
+    assert pack[0][0] == 0.0
 
 
 def test_greedy_unit_square_from_corner():
@@ -50,7 +50,7 @@ def test_greedy_unit_square_from_corner():
         validate=True,
     )
     assert len(pack) == 2
-    got = sorted(tuple(c.coords) for c in pack.centers)
+    got = sorted(tuple(c) for c in pack)
     assert got == [(0.0, 0.0), (1.0, 1.0)]
 
 
@@ -59,14 +59,27 @@ def test_greedy_rejects_nonmember_center():
         greedy_max_packing(INTERVAL, Ball(INTERVAL.point([2.0]), 1.0), 0.5, 0, 8)
 
 
+@pytest.mark.parametrize("radius, separation, extra", [
+    (1.0, np.nan, None),  # never returned: NaN passed the old positivity check
+    (np.inf, 0.25, None),  # never returned
+    (np.nan, 0.25, None),  # returned 8 centers from a ball of no radius
+    (1.0, 0.25, [[np.nan, 0.0, 0.0, 0.0]]),  # a NaN candidate kept argmax looping
+], ids=["nan-separation", "inf-radius", "nan-radius", "nan-extra"])
+def test_greedy_rejects_nonfinite_input(radius, separation, extra):
+    body = LinearL1(4)
+    with pytest.raises(ValueError):
+        greedy_max_packing(body, Ball(body.point(np.zeros(4)), radius), separation, 0, 16,
+                           extra_candidates=None if extra is None else np.array(extra))
+
+
 def test_greedy_deterministic_bit_identical():
     body = LinearL1(6, 1.0)
     ball = Ball(body.point(np.zeros(6)), 1.5)
     a = greedy_max_packing(body, ball, 0.3, pool_seed=11, pool_size=64)
     b = greedy_max_packing(body, ball, 0.3, pool_seed=11, pool_size=64)
     assert len(a) == len(b)
-    for u, v in zip(a.centers, b.centers):
-        assert np.array_equal(u.coords, v.coords)
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
 
 
 def test_exhaustive_examples():
@@ -146,7 +159,7 @@ def test_packing_invariants_randomized(body):
         pack = greedy_max_packing(
             body, Ball(center, radius), sep, pool_seed=trial, pool_size=24, validate=True
         )
-        pts = pack.centers_array
+        pts = pack
         # strict separation, membership, and ball containment
         for i in range(len(pts)):
             assert body.contains_coords(pts[i], 1e-7)
