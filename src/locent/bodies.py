@@ -272,13 +272,16 @@ class MonotoneGrid(ConvexBody):
         return np.atleast_2d(proj.dykstra(X, projs))
 
     def contains_coords(self, x, tol=MEMBERSHIP_TOL):
-        if x.min() < -tol or x.max() > 1.0 + tol:
+        return self._all_members(x[None, :], tol)
+
+    def _all_members(self, Y: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+        """Whether every row of a (k, dim) batch lies in the body."""
+        if Y.min() < -tol or Y.max() > 1.0 + tol:
             return False
-        arr = x.reshape((self.m,) * self.p)
-        for ax in range(self.p):
-            if self.m > 1 and np.diff(arr, axis=ax).min() < -tol:
-                return False
-        return True
+        arr = Y.reshape((len(Y),) + (self.m,) * self.p)
+        return self.m == 1 or not any(
+            np.diff(arr, axis=1 + ax).min() < -tol for ax in range(self.p)
+        )
 
     def _sample_monotone_1d(self, count, rng, m):
         a = rng.random(count)
@@ -298,7 +301,7 @@ class MonotoneGrid(ConvexBody):
             for ax in range(self.p):
                 Y = self._axis_isotonic(Y, ax)
             Y = np.clip(Y, 0.0, 1.0)
-            if all(self.contains_coords(r) for r in Y):
+            if self._all_members(Y):
                 return Y
         return self.project_rows(Y)
 

@@ -134,11 +134,13 @@ def greedy_max_packing(
     centers = pool[greedy_select(body, pool, separation, start=0)]
     if validate:
         pair = dist_rows(body, centers[:, None, :], centers)
-        assert (pair[np.triu_indices(len(centers), k=1)] > separation).all()
+        if not (pair[np.triu_indices(len(centers), k=1)] > separation).all():
+            raise RuntimeError("greedy packing centers are not strictly separated")
         mind = np.full(len(pool), np.inf)
         for row in centers:
             mind = np.minimum(mind, dist_rows(body, pool, row))
-        assert mind.max() <= separation + 1e-12
+        if mind.max() > separation + 1e-12:
+            raise RuntimeError("greedy packing is not maximal in its pool")
     return centers
 
 
@@ -155,10 +157,10 @@ def exhaustive_max_packing(
     a ``(k, dim)`` array of its rows in lexicographic order.  Intended for
     candidate lists of at most ``cap`` points.
     """
+    if len(candidates) == 0:
+        raise ValueError("candidates must be nonempty")
     pts = np.stack([as_coords(c) for c in candidates])
     n = len(pts)
-    if n == 0:
-        raise ValueError("candidates must be nonempty")
     if n > cap:
         raise CapExceeded(f"{n} candidates exceed cap {cap}")
     order = sorted(range(n), key=lambda i: tuple(pts[i]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import isotonic_regression
 
 from locent import projections as proj
 from locent.bodies import (
@@ -20,6 +21,7 @@ ALL_BODIES = [
     LinearEllipsoid.sobolev(6),
     MonotoneGrid(1, 8),
     MonotoneGrid(2, 3),
+    MonotoneGrid(3, 3),
     HolderGrid(0.6, 1.0, 8),
 ]
 IDS = [b.kind + "-" + str(b.dim) for b in ALL_BODIES]
@@ -102,6 +104,40 @@ def test_projection_variational_inequality(body):
     for x, px in zip(raw, proj):
         inner = (members - px) @ (x - px)
         assert inner.max() <= 1e-6
+
+
+# -- the pooled isotonic kernel ------------------------------------------------
+
+
+def _isotonic_cases():
+    """(k, m) matrices of uniform, trend-plus-noise, random-walk and tied
+    rows, and the cascade row 0, 1, ..., m-2, -1e6 that pools one block per
+    round."""
+    rng = np.random.default_rng(20240601)
+    for m in (1, 2, 4, 16, 64):
+        trend = np.linspace(-1.0, 1.0, m)
+        yield rng.random((32, m))
+        yield trend + 0.5 * rng.standard_normal((32, m))
+        yield np.cumsum(rng.standard_normal((32, m)), axis=1)
+        yield rng.integers(0, 3, size=(32, m)).astype(np.float64)
+        cascade = np.arange(m, dtype=np.float64)
+        cascade[-1] = -1e6
+        yield cascade[None, :]
+    yield np.empty((0, 8))
+
+
+def test_isotonic_rows_matches_scipy_oracle():
+    for X in _isotonic_cases():
+        out = proj.isotonic_rows(X)
+        assert out.shape == X.shape
+        m = X.shape[1]
+        for x, got in zip(X, out):
+            want = isotonic_regression(x, increasing=True).x
+            tol = 64 * np.finfo(np.float64).eps * max(1.0, np.abs(x).max()) * m
+            assert np.max(np.abs(got - want)) <= tol
+        assert (np.diff(out, axis=1) >= 0).all()
+        ordered = np.sort(X, axis=1)
+        assert np.array_equal(proj.isotonic_rows(ordered), ordered)
 
 
 # -- the secular equation behind the ellipsoid and quad-ball projections -------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locent import packing
 from locent.bodies import HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist
 from locent.errors import CapExceeded, NonmemberCenter
 from locent.packing import (
@@ -89,6 +90,21 @@ def test_exhaustive_examples():
     pts = [seg.point([x]) for x in (0.0, 0.4, 0.8)]
     assert len(exhaustive_max_packing(seg, pts, 0.5)) == 2
     assert len(exhaustive_max_packing(seg, pts[:1], 0.5)) == 1
+
+
+def test_exhaustive_rejects_empty_candidates():
+    with pytest.raises(ValueError, match="candidates must be nonempty"):
+        exhaustive_max_packing(LinearL1(1, 2.0), [], 0.5)
+
+
+def test_validate_raises_on_non_maximal_selection(monkeypatch):
+    # keeping only the first center leaves the far end of [0, 1] uncovered
+    monkeypatch.setattr(packing, "greedy_select", lambda body, pts, sep, start: [start])
+    ball = Ball(interval_pt(0.0), 1.0)
+    with pytest.raises(RuntimeError, match="not maximal"):
+        greedy_max_packing(INTERVAL, ball, 0.5, pool_seed=3, pool_size=128, validate=True)
+    # without validation the broken selection goes through unchecked
+    assert len(greedy_max_packing(INTERVAL, ball, 0.5, pool_seed=3, pool_size=128)) == 1
 
 
 def test_exhaustive_cap():
