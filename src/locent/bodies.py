@@ -99,7 +99,7 @@ def dist(body: ConvexBody, f, g) -> float:
     u, v = as_coords(f), as_coords(g)
     if u.shape != (body.dim,) or v.shape != (body.dim,):
         raise DimensionMismatch("point dimension does not match the class")
-    return body.metric_scale * float(np.linalg.norm(u - v))
+    return float(dist_rows(body, u, v))
 
 
 def dist_rows(body: ConvexBody, rows: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -186,13 +186,6 @@ class RegressionData:
         elif self.node_index.max(initial=-1) >= body.dim or self.node_index.min(initial=0) < 0:
             raise DataDimensionMismatch("node index outside the grid")
 
-    def predictions(self, coords_rows: np.ndarray) -> np.ndarray:
-        """(k, n) predicted responses for k member coordinate rows."""
-        coords_rows = np.atleast_2d(coords_rows)
-        if self.design_matrix is not None:
-            return coords_rows @ self.design_matrix.T
-        return coords_rows[:, self.node_index]
-
     def _stats(self):
         # sufficient statistics make the residual scan O(k dim^2) instead of
         # O(k n dim); exact, not an approximation
@@ -323,17 +316,20 @@ class EstimatorTrace:
     def validate_cauchy(self, body: ConvexBody, rtol: float = 1e-9):
         """Consecutive moves bounded by the stage radius and, for j < k,
         dist(Y_j, Y_k) <= d / 2^(j-2)."""
-        d = self.diameter
-        for j in range(len(self.upsilon) - 1):
-            step = dist(body, self.upsilon[j], self.upsilon[j + 1])
-            if step > self.radii[j] * (1.0 + rtol):
-                raise AssertionError(f"stage {j + 1} moved {step} > radius {self.radii[j]}")
-        for j in range(len(self.upsilon)):
-            for k in range(j + 1, len(self.upsilon)):
-                bound = d / 2.0 ** (j - 1)  # = d / 2^((j+1)-2) with 1-based j+1
-                gap = dist(body, self.upsilon[j], self.upsilon[k])
-                if gap > bound * (1.0 + rtol):
-                    raise AssertionError(f"Cauchy violation: |Y{j + 1}-Y{k + 1}| = {gap} > {bound}")
+        ys = np.stack([u.coords for u in self.upsilon])
+        gap = dist_rows(body, ys[:, None, :], ys)
+        steps = np.diagonal(gap, 1)
+        over = np.flatnonzero(steps > np.asarray(self.radii) * (1.0 + rtol))
+        if len(over):
+            j = over[0]
+            raise AssertionError(f"stage {j + 1} moved {float(steps[j])} > radius {self.radii[j]}")
+        # = d / 2^((j+1)-2) with 1-based j+1
+        bound = self.diameter / 2.0 ** (np.arange(len(ys)) - 1.0)
+        over = np.argwhere(np.triu(gap > bound[:, None] * (1.0 + rtol), 1))
+        if len(over):
+            j, k = over[0]
+            raise AssertionError(
+                f"Cauchy violation: |Y{j + 1}-Y{k + 1}| = {float(gap[j, k])} > {float(bound[j])}")
 
     def to_json(self) -> str:
         payload = {

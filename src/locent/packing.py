@@ -19,47 +19,54 @@ from .points import Ball, as_coords
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
-GRAM_LIMIT = 4500
+SCREEN_BLOCK = 512  # rows screened per Gram block
 
 
 def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start: int = 0):
-    """Farthest-point greedy over explicit candidate rows.
+    """Pool-maximal strictly separated subset of explicit candidate rows.
 
-    Starts from ``points[start]``; repeatedly adds the candidate whose minimum
-    distance to the selected set is largest, while that distance strictly
-    exceeds ``separation``.  Ties go to the lowest row index.  Returns the
-    selected row indices; on exit every candidate is within ``separation`` of
-    a selected row (pool-maximality).
+    Two rows conflict when their distance is at most ``separation``.  Rows
+    without a conflict are kept; the others are walked once, ``points[start]``
+    first and then by decreasing distance from it (ties by index), each kept
+    unless it conflicts with a row already kept.  Returns the kept indices in
+    ascending order; every candidate is within ``separation`` of one of them.
 
-    For moderate pools the pairwise distances come from one Gram matmul;
-    acceptances within a tiny band of the separation are re-verified with
-    directly computed distances so the strict-separation invariant never
-    rests on matmul rounding.
+    Each pair is screened once, ``SCREEN_BLOCK`` rows at a time, on the rows
+    centered on ``points[start]``: ``|x|^2 + |y|^2 - 2 x.y`` against
+    ``(separation / metric_scale)^2``.  Gram, centering and ``dist_rows``
+    rounding stay below ``(2 dim + 8) eps (|x|^2 + |y|^2 + threshold)``, so a
+    pair within that band of the threshold is decided by ``dist_rows``: every
+    decision agrees with ``dist_rows``, whatever the BLAS rounding.
     """
-    n = len(points)
-    use_gram = n <= GRAM_LIMIT
-    if use_gram:
-        sq = np.einsum("ij,ij->i", points, points)
-        gram = points @ points.T
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-        D = body.metric_scale * np.sqrt(d2)
-        row = lambda i: D[i]
-    else:
-        row = lambda i: dist_rows(body, points, points[i])
-    band = 1e-6 * max(separation, 1.0)
-    chosen = [start]
-    mind = row(start).copy()
-    while True:
-        far = int(np.argmax(mind))
-        if mind[far] <= separation:
-            return chosen
-        if use_gram and mind[far] - separation < band:
-            exact = dist_rows(body, points[np.asarray(chosen)], points[far]).min()
-            if exact <= separation:
-                mind[far] = exact
-                continue
-        chosen.append(far)
-        mind = np.minimum(mind, row(far))
+    n, dim = points.shape
+    x = points - points[start]
+    sq = np.einsum("ij,ij->i", x, x)
+    thr = (separation / body.metric_scale) ** 2
+    # one band for all pairs: the largest |x|^2 bounds every |x|^2 + |y|^2
+    band = (2 * dim + 8) * np.finfo(np.float64).eps * (2.0 * sq.max() + thr)
+    conflict = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, SCREEN_BLOCK):
+        hi = min(lo + SCREEN_BLOCK, n)
+        # block rows against themselves and later rows; earlier ones mirror
+        d2 = (-2.0 * x[lo:hi]) @ x[lo:].T
+        d2 += sq[lo:]
+        d2 += (sq[lo:hi] - thr)[:, None]  # now squared distance - threshold
+        hit = d2 <= 0.0
+        np.abs(d2, out=d2)
+        near_i, near_j = np.nonzero(d2 <= band)
+        for c in range(0, len(near_i), SCREEN_BLOCK):
+            i, j = near_i[c:c + SCREEN_BLOCK], near_j[c:c + SCREEN_BLOCK]
+            hit[i, j] = dist_rows(body, points[lo + i], points[lo + j]) <= separation
+        np.fill_diagonal(hit, False)  # a row does not conflict with itself
+        conflict[lo:hi, lo:] = hit
+        conflict[lo:, lo:hi] = hit.T
+    order = np.argsort(-dist_rows(body, points, points[start]), kind="stable")
+    order = np.concatenate(([start], order[order != start]))
+    free = np.ones(n, dtype=bool)
+    for i in order[conflict.any(axis=1)[order]]:
+        if free[i]:
+            free &= ~conflict[i]
+    return np.flatnonzero(free)
 
 
 def build_pool(
@@ -106,10 +113,10 @@ def greedy_max_packing(
 ) -> np.ndarray:
     """Pool-maximal greedy packing of ball-and-class at strict separation.
 
-    Returns the centers as a ``(k, dim)`` array of pool rows in selection
-    order.  Deterministic given (body, ball, separation, pool_seed,
-    pool_size, extras).  The first center is the ball center projected into
-    the class.
+    Returns the centers as a ``(k, dim)`` array of pool rows in pool order,
+    selected by ``greedy_select``.  Deterministic given (body, ball,
+    separation, pool_seed, pool_size, extras).  The first center is the ball
+    center projected into the class.
     """
     if not 0 < separation < np.inf:
         raise ValueError("separation must be positive and finite")
@@ -118,17 +125,13 @@ def greedy_max_packing(
     if not body.contains(ball.center):
         raise NonmemberCenter("ball center fails class membership")
     pool = build_pool(body, ball, pool_seed, pool_size, extra_candidates)
-    if len(pool) == 0:
-        raise EmptyPool("no pool candidate lies in ball and class")
     if validate:
         # contraction of members toward a member stays in the convex body,
         # so this only guards against numerical surprises
-        keep = np.array([body.contains_coords(r) for r in pool])
-        if not keep.all():
-            pool = pool[keep]
-        if len(pool) == 0:
-            raise EmptyPool("no pool candidate lies in ball and class")
-    # a non-finite row would keep the farthest-point loop from ever stopping
+        pool = pool[np.array([body.contains_coords(r) for r in pool], dtype=bool)]
+    if len(pool) == 0:
+        raise EmptyPool("no pool candidate lies in ball and class")
+    # a non-finite row would screen as conflict-free and be kept as a center
     if not np.isfinite(pool).all():
         raise ValueError("pool candidates must be finite")
     centers = pool[greedy_select(body, pool, separation, start=0)]

@@ -9,6 +9,7 @@ from locent.errors import (
     ProfileTooCoarse,
 )
 from locent.estimator import (
+    EstimatorTrace,
     NoiseModel,
     PoolBudget,
     RateConstants,
@@ -117,6 +118,22 @@ def test_trace_cauchy_property_randomized():
             for k in range(j + 1, len(ups)):
                 assert dist(body, ups[j], ups[k]) <= d / 2.0 ** (j - 1) * (1 + 1e-9)
         trace.validate_cauchy(body)
+
+
+def test_validate_cauchy_rejects_tampered_traces():
+    body = LinearL1(2, 1.0)  # diameter 2, so |Y3 - Y4| <= 1 and |Y1 - Y2| <= 4
+    d = body.diameter()
+
+    def trace(xs, radii):
+        ups = [body.point([x, 0.0]) for x in xs]
+        return EstimatorTrace(ups, radii, [1] * len(radii), [0] * len(radii), d)
+
+    trace([0.0, 0.5, 0.5, 0.25], [1.0, 0.5, 0.25]).validate_cauchy(body)
+    with pytest.raises(AssertionError, match=r"stage 2 moved 0\.5 > radius 0\.25"):
+        trace([0.0, 0.0, 0.5, 0.5], [1.0, 0.25, 0.25]).validate_cauchy(body)
+    # every step within its tampered radius, but Y3 and Y4 are 1.5 apart
+    with pytest.raises(AssertionError, match=r"Cauchy violation: \|Y3-Y4\| = 1\.5 > 1\.0"):
+        trace([0.0, 0.0, -0.75, 0.75], [2.0, 2.0, 2.0]).validate_cauchy(body)
 
 
 def test_every_iterate_is_member():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import locent
 from locent import packing
-from locent.bodies import HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist
+from locent.bodies import HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist, dist_rows
 from locent.errors import CapExceeded, NonmemberCenter
 from locent.packing import (
     exhaustive_max_packing,
@@ -15,6 +21,7 @@ from locent.seeds import rng_for
 from conftest import UnitBox, brute_force_max_packing, sweep_max_separated_1d
 
 INTERVAL = MonotoneGrid(1, 1)  # the interval [0, 1] as a 1-D class body
+SRC = str(Path(locent.__file__).resolve().parents[1])
 
 
 def interval_pt(x):
@@ -182,3 +189,96 @@ def test_packing_invariants_randomized(body):
             assert dist(body, pts[i], center) <= radius * (1 + 1e-9)
             for j in range(i + 1, len(pts)):
                 assert dist(body, pts[i], pts[j]) > sep
+
+
+def run_python(code: str, timeout: float, **env) -> str:
+    """Run ``code`` in a fresh interpreter on this locent; return stdout."""
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1", **env}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=timeout)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_greedy_far_offset_ball_returns():
+    # rows 1e4 from the origin in a 2e-3 ball: a Gram of the uncentered rows
+    # rounds by more than the squared separation, so it must not decide pairs
+    code = (
+        "import numpy as np\n"
+        "from locent.bodies import LinearL1\n"
+        "from locent.packing import greedy_max_packing\n"
+        "from locent.points import Ball\n"
+        "body = LinearL1(8, 1e5)\n"
+        "ball = Ball(body.point(np.full(8, 1e4)), 2e-3)\n"
+        "print(len(greedy_max_packing(body, ball, 5e-4, pool_seed=1, pool_size=256,"
+        " validate=True)))\n"
+    )
+    assert int(run_python(code, timeout=60)) >= 1
+
+
+def _oracle_walk(pair: np.ndarray, separation: float, start: int) -> np.ndarray:
+    """The documented walk on brute-force ``dist_rows`` conflicts."""
+    conflict = pair <= separation
+    np.fill_diagonal(conflict, False)
+    order = sorted(range(len(pair)), key=lambda i: (i != start, -pair[start, i], i))
+    kept = []
+    for i in order:
+        if not any(conflict[i, k] for k in kept):
+            kept.append(i)
+    return np.array(sorted(kept))
+
+
+@pytest.mark.parametrize("body", [LinearL1(3, 1.0), MonotoneGrid(1, 3)],
+                         ids=lambda b: b.kind)
+@pytest.mark.parametrize("offset", [0.3, 1e4])
+def test_greedy_select_near_threshold_matches_dist_rows_oracle(body, offset):
+    # a 0.1-spaced lattice puts many pairs at one spacing up to rounding;
+    # the separation is set to each rounded spacing and one ulp either side
+    h = 0.1
+    axes = np.meshgrid(*[np.arange(4)] * body.dim, indexing="ij")
+    pts = offset + h * np.stack(axes, axis=-1).reshape(-1, body.dim)
+    pts = np.vstack([pts, pts[::7] + h / 2])
+    pair = dist_rows(body, pts[:, None, :], pts)
+    spacing = h * body.metric_scale
+    ties = np.unique(pair[np.isclose(pair, spacing, rtol=1e-9, atol=0.0)])
+    assert len(ties) >= 1
+    for tie in ties:
+        for sep in (np.nextafter(tie, 0.0), tie, np.nextafter(tie, np.inf)):
+            for start in (0, len(pts) - 1):
+                kept = greedy_select(body, pts, sep, start=start)
+                np.testing.assert_array_equal(kept, _oracle_walk(pair, sep, start))
+                sub = pair[np.ix_(kept, kept)]
+                assert (sub[np.triu_indices(len(kept), 1)] > sep).all()
+                assert (pair[:, kept].min(axis=1) <= sep).all()
+
+
+def _openblas_dynamic_arch() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except Exception:
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's OpenBLAS cannot switch core types")
+def test_greedy_packing_bytes_do_not_depend_on_blas_core():
+    # an off-origin ball: a Gram of uncentered rows rounds differently per core
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from locent.bodies import LinearL1\n"
+        "from locent.packing import greedy_max_packing\n"
+        "from locent.points import Ball\n"
+        "body = LinearL1(64)\n"
+        "r = 0.5\n"
+        "ctr = body.point(0.5 * body.sample_rows(1, np.random.default_rng(0))[0])\n"
+        "h = hashlib.sha256()\n"
+        "for sep in (r / 22, r / 3):\n"
+        "    h.update(greedy_max_packing(body, Ball(ctr, r), sep, pool_seed=0,"
+        " pool_size=1024).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    native = run_python(code, timeout=120)
+    prescott = run_python(code, timeout=120, OPENBLAS_CORETYPE="Prescott")
+    assert native == prescott
