@@ -16,12 +16,12 @@ for the grid kinds by uniformity of the design on the nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import projections as proj
-from .errors import Degenerate, DimensionMismatch, UnboundedClassWithoutMomentConstant
+from .errors import Degenerate, DimensionMismatch
 from .points import MetricPoint, as_coords
 
 MEMBERSHIP_TOL = 1e-8
@@ -72,7 +72,7 @@ class ConvexBody:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (self.dim,):
             raise DimensionMismatch(f"expected dim {self.dim}, got {coords.shape}")
-        return MetricPoint(coords, self.tag)
+        return MetricPoint(coords)
 
     def project(self, x) -> MetricPoint:
         x = np.asarray(x, dtype=np.float64)
@@ -269,7 +269,7 @@ class MonotoneGrid(ConvexBody):
             return proj.project_monotone_box_1d_rows(X)
         projs = [lambda Z, ax=ax: self._axis_isotonic(Z, ax) for ax in range(self.p)]
         projs.append(lambda Z: np.clip(Z, 0.0, 1.0))
-        return np.atleast_2d(proj.dykstra(X, projs))
+        return proj.dykstra(X, projs)
 
     def contains_coords(self, x, tol=MEMBERSHIP_TOL):
         return self._all_members(x[None, :], tol)
@@ -400,7 +400,7 @@ class HolderGrid(ConvexBody):
             projs.append(
                 lambda Z, V=evecs, D=evals, b=bound: proj.project_quad_ball_rows(Z, V, D, b)
             )
-        return np.atleast_2d(proj.dykstra(X, projs))
+        return proj.dykstra(X, projs)
 
     def contains_coords(self, x, tol=MEMBERSHIP_TOL):
         if np.linalg.norm(x) > self.gamma * np.sqrt(self.m) + tol:
@@ -467,13 +467,15 @@ class DesignDistribution:
     """Isotropic design for linear classes: mean zero, identity second moment."""
 
     kind: str = "gaussian"
-    tau: float = None  # sub-Gaussian variance proxy
 
     def __post_init__(self):
         if self.kind not in _DESIGN_TAUS:
             raise ValueError(f"unknown design kind {self.kind!r}")
-        if self.tau is None:
-            object.__setattr__(self, "tau", _DESIGN_TAUS[self.kind])
+
+    @property
+    def tau(self) -> float:
+        """Sub-Gaussian variance proxy of the design."""
+        return _DESIGN_TAUS[self.kind]
 
     def sample(self, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .bodies import DesignDistribution, dist, make_body, moment_ratio_check
-from .entropy import EntropyBudget, local_entropy
-from .estimator import NoiseModel, RateConstants, run_algorithm1, stage_schedule
+from .bodies import dist, moment_ratio_check
+from .entropy import local_entropy
+from .estimator import run_algorithm1, stage_schedule
 from .harness import (
     ExperimentConfig,
     body_for_n,

@@ -19,7 +19,7 @@ adaptive entropy profile at argument 2 eps_J c / sqrt(L) with constant 2c.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,12 +96,7 @@ class RateConstants:
 
     C: float
     L_paper: float
-    kind: str  # "bounded" | "unbounded"
-    sigma: float
     practical_scale: float = 1.0
-    b: float | None = None
-    alpha: float | None = None
-    sup_bound: float | None = None
 
     def __post_init__(self):
         if self.C <= 3:
@@ -119,14 +114,7 @@ class RateConstants:
 
     @classmethod
     def bounded(cls, C: float, sigma: float, sup_bound: float, practical_scale: float = 1.0):
-        return cls(
-            C=C,
-            L_paper=exponent_constant_bounded(C, sigma, sup_bound),
-            kind="bounded",
-            sigma=sigma,
-            practical_scale=practical_scale,
-            sup_bound=sup_bound,
-        )
+        return cls(C, exponent_constant_bounded(C, sigma, sup_bound), practical_scale)
 
     @classmethod
     def unbounded(
@@ -138,15 +126,7 @@ class RateConstants:
         b: float = 0.125,
         practical_scale: float = 1.0,
     ):
-        return cls(
-            C=C,
-            L_paper=exponent_constant_unbounded(C, sigma, diameter, alpha, b),
-            kind="unbounded",
-            sigma=sigma,
-            practical_scale=practical_scale,
-            b=b,
-            alpha=alpha,
-        )
+        return cls(C, exponent_constant_unbounded(C, sigma, diameter, alpha, b), practical_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +278,25 @@ def structured_candidates(
 class EstimatorTrace:
     """The iterate sequence with per-stage radii, packing sizes, and choices."""
 
-    upsilon: list[MetricPoint]
+    upsilon: np.ndarray  # (J, dim) iterates, the anchor first
     radii: list[float]
     packing_sizes: list[int]
     chosen_indices: list[int]
     diameter: float
-    truth_distances: list[float] | None = None
+    truth_distances: np.ndarray | None = None
 
     @property
     def total_stages(self) -> int:
         return len(self.upsilon)
 
     @property
-    def final(self) -> MetricPoint:
+    def final(self) -> np.ndarray:
         return self.upsilon[-1]
 
     def validate_cauchy(self, body: ConvexBody, rtol: float = 1e-9):
         """Consecutive moves bounded by the stage radius and, for j < k,
         dist(Y_j, Y_k) <= d / 2^(j-2)."""
-        ys = np.stack([u.coords for u in self.upsilon])
+        ys = self.upsilon
         gap = dist_rows(body, ys[:, None, :], ys)
         steps = np.diagonal(gap, 1)
         over = np.flatnonzero(steps > np.asarray(self.radii) * (1.0 + rtol))
@@ -338,7 +318,7 @@ class EstimatorTrace:
             "radii": [float(r) for r in self.radii],
             "packing_sizes": list(self.packing_sizes),
             "chosen_indices": list(self.chosen_indices),
-            "final_coords": [float(v) for v in self.final.coords],
+            "final_coords": [float(v) for v in self.final],
         }
         if self.truth_distances is not None:
             payload["truth_distances"] = [float(t) for t in self.truth_distances]
@@ -375,12 +355,11 @@ def run_algorithm1(
     d = body.diameter()
     C = constants.C
 
-    anchor = body.project(np.zeros(body.dim))
-    ups = [anchor]
+    cur = body.project(np.zeros(body.dim)).coords
+    ups = [cur]
     radii: list[float] = []
     sizes: list[int] = []
     chosen: list[int] = []
-    cur = anchor.coords
 
     for k in range(1, stages):
         radius = d / 2.0 ** (k - 1)
@@ -409,17 +388,18 @@ def run_algorithm1(
         if len(ties) > 1:
             ties = sorted(ties, key=lambda i: tuple(rows[i]))
         pick = int(ties[0])
-        ups.append(body.point(rows[pick]))
-        cur = ups[-1].coords
+        cur = rows[pick]
+        ups.append(cur)
         radii.append(radius)
         sizes.append(len(rows))
         chosen.append(pick)
 
+    upsilon = np.stack(ups)
     truth_d = None
     if eval_truth is not None:
-        truth_d = [dist(body, u, eval_truth) for u in ups]
+        truth_d = dist_rows(body, upsilon, eval_truth.coords)
     trace = EstimatorTrace(
-        upsilon=ups,
+        upsilon=upsilon,
         radii=radii,
         packing_sizes=sizes,
         chosen_indices=chosen,
@@ -441,9 +421,6 @@ class StageSchedule:
 
     eps_j: np.ndarray
     j_star: int
-    condition_kind: str
-    L: float
-    diameter: float
 
     def __post_init__(self):
         if self.j_star < 1:
@@ -499,13 +476,7 @@ def stage_schedule(
             eps_list.append(eps_at(J))
         else:
             j_star = max_stages
-    return StageSchedule(
-        eps_j=np.array(eps_list[:j_star]),
-        j_star=j_star,
-        condition_kind=kind,
-        L=L,
-        diameter=d,
-    )
+    return StageSchedule(eps_j=np.array(eps_list[:j_star]), j_star=j_star)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def fit_rate_slope(points) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     body_kind: str = "monotone_grid"
-    body_params: dict = field(default_factory=dict)  # m may be "auto"
+    body_params: dict = field(default_factory=lambda: {"p": 1, "m": "auto"})  # m may be "auto"
     design: DesignDistribution = DesignDistribution("gaussian")
     noise: NoiseModel = NoiseModel("gaussian", 1.0)
     truth: TruthSpec = TruthSpec("sampled")
@@ -183,46 +183,22 @@ class ExperimentConfig:
                 raise ValueError("sparse truth needs s <= p")
 
     def digest(self) -> str:
-        blob = json.dumps(_config_payload(self), sort_keys=True, separators=(",", ":"))
+        """Hash of every field, nested records included, as canonical JSON."""
+        blob = json.dumps(_plain(asdict(self)), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _config_payload(cfg: ExperimentConfig) -> dict:
-    def clean(v):
-        if isinstance(v, np.ndarray):
-            return [float(x) for x in v]
-        if isinstance(v, (np.floating, np.integer)):
-            return float(v)
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in sorted(v.items())}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        return v
-
-    return {
-        "body_kind": cfg.body_kind,
-        "body_params": clean(cfg.body_params),
-        "design": [cfg.design.kind, cfg.design.tau],
-        "noise": [cfg.noise.kind, cfg.noise.sigma],
-        "truth": [cfg.truth.kind, clean(cfg.truth.coords), cfg.truth.s, cfg.truth.seed],
-        "n_grid": list(cfg.n_grid),
-        "replicates": cfg.replicates,
-        "C": cfg.C,
-        "practical_scale": cfg.practical_scale,
-        "b": cfg.b,
-        "alpha_moment": cfg.alpha_moment,
-        "condition_kind": cfg.condition_kind,
-        "stages": cfg.stages,
-        "max_stages": cfg.max_stages,
-        "pool": [cfg.pool.size, cfg.pool.growth, cfg.pool.cap, cfg.pool.axis_steps,
-                 cfg.pool.extreme_pulls, cfg.pool.support_moves],
-        "profile": [cfg.profile_budget.pool_size, cfg.profile_budget.centers],
-        "risk_eval": cfg.risk_eval,
-        "fresh_m": cfg.fresh_m,
-        "master_seed": cfg.master_seed,
-        "theory": cfg.theory,
-        "theory_params": clean(cfg.theory_params),
-    }
+def _plain(v):
+    """JSON-ready copy of a value: arrays and tuples become lists."""
+    if isinstance(v, np.ndarray):
+        return [float(x) for x in v]
+    if isinstance(v, (np.floating, np.integer)):
+        return float(v)
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in sorted(v.items())}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
 
 
 def body_for_n(cfg: ExperimentConfig, n: int) -> ConvexBody:
@@ -349,10 +325,10 @@ def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
     rng = rng_for(fresh_seed, "fresh-eval", n)
     if isinstance(body, (LinearL1, LinearEllipsoid)):
         X = cfg.design.sample(m, body.p, rng)
-        diffs = X @ (fhat.coords - truth.coords)
+        diffs = X @ (fhat - truth.coords)
     else:
         idx = rng.integers(0, body.dim, size=m)
-        diffs = fhat.coords[idx] - truth.coords[idx]
+        diffs = fhat[idx] - truth.coords[idx]
     return float(np.mean(diffs * diffs))
 
 
@@ -487,15 +463,13 @@ def concentration_bound_unbounded(
     )
 
 
-def _pn_norms(body, design, diffs: list[np.ndarray], n: int, trials: int, rng,
-              chunk: int | None = None) -> list[np.ndarray]:
+def _pn_norms(body, design, diffs: list[np.ndarray], n: int, trials: int, rng) -> list[np.ndarray]:
     """Per-trial n*||diff||^2_{Pn} for each coordinate difference in diffs.
 
     The empirical squared norm times n is the plain sum of squared evaluation
     differences over the n drawn design points, for both class kinds.
     """
-    if chunk is None:
-        chunk = max(1, min(512, int(2e7 // max(n, 1))))
+    chunk = max(1, min(512, int(2e7 // max(n, 1))))
     outs = [np.empty(trials) for _ in diffs]
     done = 0
     linear = isinstance(body, (LinearL1, LinearEllipsoid))

@@ -8,7 +8,7 @@ L2(P_X) distance for the design implied by the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +17,9 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class MetricPoint:
-    """A class member: coordinate vector plus the tag of the owning class."""
+    """A class member: its coordinate vector."""
 
     coords: np.ndarray
-    class_tag: str = ""
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.float64)

@@ -144,12 +144,11 @@ def project_quad_ball_rows(X: np.ndarray, evecs: np.ndarray, evals: np.ndarray, 
 def dykstra(x: np.ndarray, projectors, tol: float = ABS_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
     """Dykstra's alternating projection onto an intersection of convex sets.
 
-    ``projectors`` is a sequence of callables mapping (k, dim) -> (k, dim);
-    works on a batch of rows simultaneously.  Raises NoConvergence when the
+    ``x`` is a (k, dim) batch of rows and ``projectors`` is a sequence of
+    callables mapping (k, dim) -> (k, dim).  Raises NoConvergence when the
     cycle-to-cycle residual stays above ``tol`` after ``max_iter`` cycles.
     """
-    y = np.atleast_2d(np.asarray(x, dtype=np.float64)).copy()
-    single = np.asarray(x).ndim == 1
+    y = np.asarray(x, dtype=np.float64)
     increments = [np.zeros_like(y) for _ in projectors]
     for _ in range(max_iter):
         prev = y.copy()
@@ -158,5 +157,5 @@ def dykstra(x: np.ndarray, projectors, tol: float = ABS_TOL, max_iter: int = MAX
             y = proj(z)
             increments[j] = z - y
         if np.max(np.abs(y - prev)) < tol:
-            return y[0] if single else y
+            return y
     raise NoConvergence(f"Dykstra residual above {tol} after {max_iter} cycles")

@@ -172,7 +172,7 @@ def test_acceptance_04_cauchy_trace_invariant():
             trace = run_algorithm1(body, data, consts, stages=6,
                                    pool_budget=PoolBudget(size=32), seed=seed)
             runs += 1
-            ups = [u.coords for u in trace.upsilon]
+            ups = trace.upsilon
             d = trace.diameter
             for j in range(len(ups)):
                 for k in range(j + 1, len(ups)):

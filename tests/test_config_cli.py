@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import os
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from locent.cli import main
-from locent.config import config_digest_text, load_config_text
+from locent.config import KEYS, load_config_text
 
 MONOTONE_INI = """
 [class]
@@ -101,21 +103,92 @@ def test_parse_sparse_config():
 def test_unknown_keys_fail_fast():
     with pytest.raises(ValueError):
         load_config_text("[class]\nkind = monotone_grid\nwat = 1\n")
+    with pytest.raises(ValueError):
+        load_config_text("[design]\nkind = gaussian\ntau = 7\n")
 
 
-def test_config_digest_canonical():
-    a = config_digest_text(MONOTONE_INI)
-    b = config_digest_text(MONOTONE_INI + "\n")
-    assert a == b
-    c = config_digest_text(MONOTONE_INI.replace("sigma = 1.0", "sigma = 2.0"))
-    assert a != c
+def test_sparse_theory_needs_its_keys():
+    with pytest.raises(ValueError, match="theory_s"):
+        load_config_text("[experiment]\ntheory = sparse_l1\ntheory_p = 8\n")
 
 
-def test_config_digest_covers_support_moves():
-    a = load_config_text(MONOTONE_INI + "support_moves = 64\n")
-    b = load_config_text(MONOTONE_INI + "support_moves = 8\n")
-    assert a.pool.support_moves != b.pool.support_moves
-    assert a.digest() != b.digest()
+@pytest.mark.parametrize("text", ["[budgett]\npool_size = 8\n", "[budgett]\n"],
+                         ids=["key", "empty"])
+def test_unknown_sections_fail_fast(text):
+    with pytest.raises(ValueError, match="budgett"):
+        load_config_text(MONOTONE_INI + text)
+
+
+# per key: a value that differs from the base config's, and the other keys of
+# its section that the key needs in order to act
+PROBES = {
+    ("class", "kind"): ("holder_grid", {}),
+    ("class", "p"): ("2", {}),
+    ("class", "m"): ("8", {}),
+    ("class", "radius"): ("2.0", {}),
+    ("class", "a"): ("0.25 1.0", {}),
+    ("class", "alpha"): ("0.5", {}),
+    ("class", "gamma"): ("2.0", {}),
+    ("design", "kind"): ("rademacher", {}),
+    ("noise", "kind"): ("scaled_rademacher", {}),
+    ("noise", "sigma"): ("2.0", {}),
+    ("truth", "kind"): ("sampled", {}),
+    ("truth", "coords"): ("0.1 0.2", {}),
+    ("truth", "s"): ("3", {}),
+    ("truth", "seed"): ("7", {}),
+    ("experiment", "n_grid"): ("32 64", {}),
+    ("experiment", "replicates"): ("3", {}),
+    ("experiment", "master_seed"): ("1", {}),
+    ("experiment", "condition_kind"): ("adaptive", {}),
+    ("experiment", "risk_eval"): ("fresh_sample", {}),
+    ("experiment", "fresh_m"): ("100", {}),
+    ("experiment", "stages"): ("5", {}),
+    ("experiment", "theory"): ("holder", {}),
+    ("experiment", "theory_s"): ("3", {"theory": "sparse_l1", "theory_s": "2", "theory_p": "8"}),
+    ("experiment", "theory_p"): ("2", {}),
+    ("experiment", "theory_alpha"): ("0.5", {"theory": "holder"}),
+    ("experiment", "theory_gamma"): ("2.0", {"theory": "holder"}),
+    ("constants", "c"): ("5.0", {}),
+    ("constants", "practical_scale"): ("2.0", {}),
+    ("constants", "b"): ("0.25", {}),
+    ("constants", "alpha"): ("2.0", {}),
+    ("budget", "pool_size"): ("8", {}),
+    ("budget", "pool_growth"): ("1.3", {}),
+    ("budget", "pool_cap"): ("256", {}),
+    ("budget", "axis_steps"): ("no", {}),
+    ("budget", "extreme_pulls"): ("no", {}),
+    ("budget", "support_moves"): ("8", {}),
+    ("budget", "profile_pool"): ("64", {}),
+    ("budget", "profile_centers"): ("2", {}),
+    ("budget", "max_stages"): ("12", {}),
+}
+
+
+def _field(cfg, path):
+    value = cfg
+    for part in path.split("."):
+        value = value.get(part) if isinstance(value, dict) else getattr(value, part)
+    return value
+
+
+@pytest.mark.parametrize("section, key", list(KEYS), ids=[f"{s}.{k}" for s, k in KEYS])
+def test_each_key_sets_its_field_and_digest(section, key):
+    value, context = PROBES[section, key]
+    cp = configparser.ConfigParser()
+    cp.read_string(MONOTONE_INI)
+    cp.read_dict({section: context})
+    base = load_config_text(_text(cp))
+    cp[section][key] = value
+    cfg = load_config_text(_text(cp))
+    path, parse = KEYS[section, key]
+    assert _field(cfg, path) == parse(value) != _field(base, path)
+    assert cfg.digest() != base.digest()
+
+
+def _text(cp) -> str:
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -162,6 +235,16 @@ def test_cli_entropy_eps_star_estimate(cfg_path, tmp_path):
     trace = json.loads(open(os.path.join(out, "trace.json")).read())
     assert trace["total_stages"] >= 1
     assert len(trace["radii"]) == trace["total_stages"] - 1
+
+
+def test_cli_runs_without_config(tmp_path):
+    # the dataclass defaults: 1-D monotone, m = auto
+    out = str(tmp_path / "d")
+    main(["--out", out, "entropy", "--n", "64"])
+    assert os.path.exists(os.path.join(out, "entropy.csv"))
+    main(["--out", out, "estimate", "--n", "64"])
+    trace = json.loads(open(os.path.join(out, "trace.json")).read())
+    assert len(trace["final_coords"]) == 8
 
 
 def test_cli_widths_and_checks(cfg_path, tmp_path):

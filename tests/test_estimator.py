@@ -98,7 +98,7 @@ def test_single_stage_returns_anchor_with_error_at_most_diameter():
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
     trace = run_algorithm1(body, data, consts, stages=1, seed=3, eval_truth=truth)
     assert trace.total_stages == 1
-    assert np.allclose(trace.final.coords, body.project(np.zeros(body.dim)).coords)
+    assert np.allclose(trace.final, body.project(np.zeros(body.dim)).coords)
     assert trace.truth_distances[0] <= body.diameter()
 
 
@@ -113,7 +113,7 @@ def test_trace_cauchy_property_randomized():
         trace = run_algorithm1(body, data, consts, stages=6,
                                pool_budget=PoolBudget(size=48), seed=trial)
         d = trace.diameter
-        ups = [u.coords for u in trace.upsilon]
+        ups = trace.upsilon
         for j in range(len(ups)):
             for k in range(j + 1, len(ups)):
                 assert dist(body, ups[j], ups[k]) <= d / 2.0 ** (j - 1) * (1 + 1e-9)
@@ -125,7 +125,7 @@ def test_validate_cauchy_rejects_tampered_traces():
     d = body.diameter()
 
     def trace(xs, radii):
-        ups = [body.point([x, 0.0]) for x in xs]
+        ups = np.array([[x, 0.0] for x in xs])
         return EstimatorTrace(ups, radii, [1] * len(radii), [0] * len(radii), d)
 
     trace([0.0, 0.5, 0.5, 0.25], [1.0, 0.5, 0.25]).validate_cauchy(body)
@@ -156,8 +156,7 @@ def test_run_deterministic_bit_for_bit():
     t1 = run_algorithm1(body, data, consts, stages=5, seed=13)
     t2 = run_algorithm1(body, data, consts, stages=5, seed=13)
     assert t1.chosen_indices == t2.chosen_indices
-    for a, b in zip(t1.upsilon, t2.upsilon):
-        assert np.array_equal(a.coords, b.coords)
+    assert np.array_equal(t1.upsilon, t2.upsilon)
     assert t1.to_json() == t2.to_json()
 
 
@@ -249,7 +248,7 @@ def flat_profile(c, value, lo=1e-4, hi=16.0):
 
 def test_schedule_singleton_profile_reduces_to_log2_condition():
     # logM = 0: condition becomes n eps_J^2 > log 2
-    consts = RateConstants(C=4.0, L_paper=1.0, kind="bounded", sigma=1.0)
+    consts = RateConstants(C=4.0, L_paper=1.0)
     d, c, n = 1.0, consts.c, 100
     sched = stage_schedule(flat_profile(c, 0.0), n, consts, "bounded", d)
     eps = lambda J: d / (2.0 ** (J - 2) * c)
@@ -259,7 +258,7 @@ def test_schedule_singleton_profile_reduces_to_log2_condition():
 
 
 def test_schedule_never_satisfied_gives_one():
-    consts = RateConstants(C=4.0, L_paper=1.0, kind="bounded", sigma=1.0)
+    consts = RateConstants(C=4.0, L_paper=1.0)
     # constant profile k with n eps_1^2 <= log 2
     sched = stage_schedule(flat_profile(consts.c, 5.0), 1, consts, "bounded", 0.5)
     assert sched.j_star == 1
@@ -269,7 +268,7 @@ def test_schedule_power_profile_matches_direct_scan():
     # logM(eps) = eps^(-2(p-1)), p = 3; compare against an explicit scan of
     # the same condition evaluated with the true power law
     p, n = 3, 10_000
-    consts = RateConstants(C=4.0, L_paper=1.0, kind="bounded", sigma=1.0)
+    consts = RateConstants(C=4.0, L_paper=1.0)
     c, d = consts.c, 1.0
     eps_grid = np.geomspace(1e-5, 8.0, 120)
     prof = EntropyProfile(c=c, kind="global", eps=eps_grid,
@@ -300,7 +299,7 @@ def test_schedule_power_profile_matches_direct_scan():
 
 
 def test_schedule_profile_too_coarse():
-    consts = RateConstants(C=4.0, L_paper=1.0, kind="bounded", sigma=1.0)
+    consts = RateConstants(C=4.0, L_paper=1.0)
     prof = EntropyProfile(c=consts.c, kind="global", eps=np.array([2.0, 4.0]),
                           log_m=np.array([1.0, 1.0]), exact=True)
     with pytest.raises(ProfileTooCoarse):
@@ -310,7 +309,7 @@ def test_schedule_profile_too_coarse():
 def test_schedule_adaptive_uses_doubled_argument():
     # with a profile that jumps at the argument boundary, the adaptive kind
     # must read the entropy at 2 d / 2^(J-2) rather than d / 2^(J-2)
-    consts = RateConstants(C=4.0, L_paper=1.0, kind="bounded", sigma=1.0)
+    consts = RateConstants(C=4.0, L_paper=1.0)
     d, n = 1.0, 200
     c2 = 2.0 * consts.c
     # big entropy above eps = 3, zero below: J=1 has argument 2d=2 (bounded)
