@@ -541,20 +541,35 @@ def moment_ratio_check(
 # ---------------------------------------------------------------------------
 
 
+# class kind (and its short name) -> the keys it takes
+BODY_KEYS = {
+    ("linear_l1", "l1"): ("p", "radius"),
+    ("linear_ellipsoid", "ellipsoid"): ("p", "a"),
+    ("monotone_grid", "monotone"): ("p", "m"),
+    ("holder_grid", "holder"): ("alpha", "gamma", "m"),
+}
+
+
+def check_body_params(kind: str, params) -> str:
+    """Canonical name of ``kind``; ValueError if unknown or given a key it does not take."""
+    for names, keys in BODY_KEYS.items():
+        if kind.lower() in names:
+            stray = sorted(set(params) - set(keys))
+            if stray:
+                raise ValueError(f"class kind {names[0]!r} does not take {stray}")
+            return names[0]
+    raise ValueError(f"unknown class kind {kind.lower()!r}")
+
+
 def make_body(kind: str, **params) -> ConvexBody:
-    kind = kind.lower()
-    if kind in ("linear_l1", "l1"):
+    kind = check_body_params(kind, params)
+    if kind == "linear_l1":
         return LinearL1(p=int(params["p"]), radius=float(params.get("radius", 1.0)))
-    if kind in ("linear_ellipsoid", "ellipsoid"):
+    if kind == "linear_ellipsoid":
         if "a" in params and params["a"] is not None:
             return LinearEllipsoid(params["a"])
         return LinearEllipsoid.sobolev(int(params["p"]))
-    if kind in ("monotone_grid", "monotone"):
+    if kind == "monotone_grid":
         return MonotoneGrid(p=int(params["p"]), m=int(params["m"]))
-    if kind in ("holder_grid", "holder"):
-        return HolderGrid(
-            alpha=float(params["alpha"]),
-            gamma=float(params.get("gamma", 1.0)),
-            m=int(params["m"]),
-        )
-    raise ValueError(f"unknown class kind {kind!r}")
+    return HolderGrid(alpha=float(params["alpha"]), gamma=float(params.get("gamma", 1.0)),
+                      m=int(params["m"]))

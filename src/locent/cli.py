@@ -30,6 +30,7 @@ from .harness import (
     make_truth,
     resolve_condition_kind,
     run_experiment,
+    schedule_grid,
     schedule_profile,
 )
 from .rates import certify_lower_bound, solve_eps_star
@@ -64,13 +65,11 @@ def cmd_entropy(args):
     cfg = _load(args)
     n = args.n or max(cfg.n_grid)
     body, constants = _body_and_constants(cfg, n)
-    d = body.diameter()
-    eps_grid = [d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3)]
-    prof = local_entropy(
-        body, eps_grid, constants.c, mode="global",
-        budget=cfg.profile_budget, seed=derive_seed(cfg.master_seed, "cli-entropy"),
-    )
+    prof = local_entropy(body, schedule_grid(cfg, body), constants.c, mode="global",
+                         budget=cfg.profile_budget,
+                         seed=derive_seed(cfg.master_seed, "cli-entropy"))
     _write(args.out, "entropy.csv", prof.to_csv())
+    print(f"{prof.saturated.sum()} of {len(prof.eps)} grid points at the pool ceiling", file=sys.stderr)
 
 
 def cmd_eps_star(args):

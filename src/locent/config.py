@@ -3,8 +3,9 @@
 Every accepted ``(section, key)`` pair is an entry of :data:`KEYS`, which
 names the :class:`~locent.harness.ExperimentConfig` field the key sets and
 the parser of its value; the dataclasses hold every default.  An unknown
-section or key raises ``ValueError``.  A ``[class]`` section gives the whole
-body: its keys other than ``kind`` replace the default ``body_params``.
+section or key, or a class key its kind does not take (``bodies.BODY_KEYS``),
+raises ``ValueError``.  A ``[class]`` section gives the whole body: its keys
+other than ``kind`` replace the default ``body_params``.
 Lists are whitespace- or comma-separated.  Unless the ``theory_*`` keys
 give them, the rate formula's parameters are read off the class.
 """

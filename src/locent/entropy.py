@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,13 @@ from .errors import GridMismatch, NonMonotoneProfile
 from .packing import exhaustive_max_packing, greedy_max_packing
 from .points import Ball, as_coords
 from .seeds import derive_seed
+
+
+def pool_ceiling(pool_size: int) -> int:
+    """Most centers a packing of an entropy pool can hold: ``build_pool`` keeps
+    the projected center and all ``pool_size`` draws, with no extras (fewer
+    rows when the radius is 0)."""
+    return pool_size + 1
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,11 @@ class EntropyProfile:
             raise ValueError("log packing counts are nonnegative")
         if self.exact and np.any(np.diff(self.log_m) > 1e-12):
             raise NonMonotoneProfile("exact profile must be non-increasing in eps")
+
+    @property
+    def saturated(self) -> np.ndarray:
+        """Greedy grid points whose count is the pool ceiling, not the class's."""
+        return (self.log_m >= np.log(pool_ceiling(self.pool_size))) & (not self.exact)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -99,11 +111,7 @@ class EntropyProfile:
             raise NonMonotoneProfile(
                 f"monotonization changed the profile by {slack:.3f} > {max_rel_slack}"
             )
-        return EntropyProfile(
-            c=self.c, kind=self.kind, eps=self.eps, log_m=fixed, exact=False,
-            center=self.center, pool_size=self.pool_size, seed=self.seed,
-            center_id=self.center_id,
-        )
+        return replace(self, log_m=fixed)
 
     # -- serialization ------------------------------------------------------
 
@@ -154,9 +162,9 @@ def local_entropy(
 ) -> EntropyProfile:
     """Greedy local entropy profile over an ascending eps grid.
 
-    mode="global": max over sampled centers plus extreme points;
-    mode="adaptive": the fixed ``center`` only.  Pool seeds are derived from
-    (seed, eps, center hash) so shared centers share pools across modes.
+    mode="global": max over sampled centers plus extreme points, stopping at
+    a pool-filling packing; mode="adaptive": the fixed ``center`` only.  Pool
+    seeds derive from (seed, eps, center row), so shared centers share pools.
     """
     eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
     if c <= 1:
@@ -180,6 +188,8 @@ def local_entropy(
                 body, Ball(pt, float(eps)), float(eps) / c, pseed, budget.pool_size
             )
             best = max(best, len(pack))
+            if best >= pool_ceiling(budget.pool_size):
+                break
         log_m[i] = np.log(best)
     ctr = as_coords(center) if (mode == "adaptive") else None
     return EntropyProfile(

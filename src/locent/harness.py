@@ -25,6 +25,7 @@ from .bodies import (
     LinearEllipsoid,
     LinearL1,
     MonotoneGrid,
+    check_body_params,
     dist,
     make_body,
 )
@@ -174,6 +175,7 @@ class ExperimentConfig:
     theory_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_body_params(self.body_kind, self.body_params)
         if self.replicates < 1:
             raise ValueError("replicates >= 1")
         if any(nxt <= prev for prev, nxt in zip(self.n_grid, self.n_grid[1:])):
@@ -228,17 +230,16 @@ def resolve_condition_kind(cfg: ExperimentConfig, body: ConvexBody) -> str:
     return "bounded" if body.sup_bound is not None else "unbounded"
 
 
+def schedule_grid(cfg: ExperimentConfig, body: ConvexBody) -> list[float]:
+    """Ascending eps grid the schedule reads: the ladder d * 2^(2-j), so its
+    arguments d/2^(J-2) (twice that for the adaptive condition) are grid points."""
+    d = body.diameter()
+    return sorted(e for e in (d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3)) if e > 0)
+
+
 def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
                      kind: str) -> EntropyProfile:
-    """Greedy entropy profile on the geometric grid the schedule reads.
-
-    The schedule evaluates entropy at d/2^(J-2) (twice that for the adaptive
-    condition), so the grid is the geometric ladder d * 2^(2-j); arguments
-    then always hit grid points exactly.
-    """
-    d = body.diameter()
-    eps_grid = [d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3)]
-    eps_grid = sorted(e for e in eps_grid if e > 0)
+    """Greedy entropy profile on :func:`schedule_grid`."""
     seed = derive_seed(cfg.master_seed, "profile", kind, body.tag)
     if kind == "adaptive":
         # the schedule's infimum over centers is approximated by the
@@ -246,12 +247,11 @@ def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateCon
         ext = body.extreme_points()
         center = ext[0] if len(ext) else body.project(np.zeros(body.dim)).coords
         return local_entropy(
-            body, eps_grid, 2.0 * constants.c, mode="adaptive", center=center,
+            body, schedule_grid(cfg, body), 2.0 * constants.c, mode="adaptive", center=center,
             budget=cfg.profile_budget, seed=seed,
         )
-    return local_entropy(
-        body, eps_grid, constants.c, mode="global", budget=cfg.profile_budget, seed=seed
-    )
+    return local_entropy(body, schedule_grid(cfg, body), constants.c, mode="global",
+                         budget=cfg.profile_budget, seed=seed)
 
 
 @dataclass

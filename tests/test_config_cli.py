@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from locent.bodies import make_body
 from locent.cli import main
 from locent.config import KEYS, load_config_text
 
@@ -107,6 +108,15 @@ def test_unknown_keys_fail_fast():
         load_config_text("[design]\nkind = gaussian\ntau = 7\n")
 
 
+def test_class_keys_the_kind_does_not_take_fail_fast():
+    base = "[class]\nkind = linear_l1\np = 8\n"
+    assert load_config_text(base).body_params == {"p": 8}
+    with pytest.raises(ValueError, match="alpha"):
+        load_config_text(base + "m = 5\nalpha = 0.3\n")
+    with pytest.raises(ValueError, match="'m'"):
+        make_body("linear_l1", p=8, m=5)
+
+
 def test_sparse_theory_needs_its_keys():
     with pytest.raises(ValueError, match="theory_s"):
         load_config_text("[experiment]\ntheory = sparse_l1\ntheory_p = 8\n")
@@ -120,15 +130,16 @@ def test_unknown_sections_fail_fast(text):
 
 
 # per key: a value that differs from the base config's, and the other keys of
-# its section that the key needs in order to act
+# its section that the key needs in order to act (None removes a base key the
+# class kind does not take)
 PROBES = {
-    ("class", "kind"): ("holder_grid", {}),
+    ("class", "kind"): ("holder_grid", {"p": None}),
     ("class", "p"): ("2", {}),
     ("class", "m"): ("8", {}),
-    ("class", "radius"): ("2.0", {}),
-    ("class", "a"): ("0.25 1.0", {}),
-    ("class", "alpha"): ("0.5", {}),
-    ("class", "gamma"): ("2.0", {}),
+    ("class", "radius"): ("2.0", {"kind": "linear_l1", "m": None}),
+    ("class", "a"): ("0.25 1.0", {"kind": "linear_ellipsoid", "m": None}),
+    ("class", "alpha"): ("0.5", {"kind": "holder_grid", "p": None}),
+    ("class", "gamma"): ("2.0", {"kind": "holder_grid", "p": None}),
     ("design", "kind"): ("rademacher", {}),
     ("noise", "kind"): ("scaled_rademacher", {}),
     ("noise", "sigma"): ("2.0", {}),
@@ -176,7 +187,11 @@ def test_each_key_sets_its_field_and_digest(section, key):
     value, context = PROBES[section, key]
     cp = configparser.ConfigParser()
     cp.read_string(MONOTONE_INI)
-    cp.read_dict({section: context})
+    for name, text in context.items():
+        if text is None:
+            cp.remove_option(section, name)
+        else:
+            cp.set(section, name, text)
     base = load_config_text(_text(cp))
     cp[section][key] = value
     cfg = load_config_text(_text(cp))

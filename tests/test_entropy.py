@@ -6,17 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locent.bodies import LinearL1, MonotoneGrid, dist
+import locent.entropy
+from locent.bodies import LinearEllipsoid, LinearL1, MonotoneGrid, dist
 from locent.entropy import (
     EntropyBudget,
     EntropyProfile,
     TabulatedEntropy,
+    _global_centers,
     entropy_sandwich_check,
     exact_local_entropy,
     local_entropy,
 )
 from locent.errors import GridMismatch, NonMonotoneProfile
-from locent.packing import exhaustive_max_packing
+from locent.packing import exhaustive_max_packing, greedy_max_packing
+from locent.points import Ball
+from locent.seeds import derive_seed
 from locent.widths import sparse_cone_width_bound
 
 from conftest import SingletonBody
@@ -210,3 +214,71 @@ def test_adaptive_profile_csv_same_across_hash_seeds():
                                    capture_output=True).stdout)
     assert outs[0] == outs[1]
     assert b"adaptive@" in outs[0]
+
+
+# full scans of the max over centers, with no early exit: (body, grid, c,
+# budget, center); the ellipsoid fills its 13-row pools at the two finest
+# eps, the monotone grid never does
+SOBOLEV = LinearEllipsoid.sobolev(6)
+SCANS = {
+    "saturated": (SOBOLEV, [0.25, 0.5, 1.0, 2.0], 4.0, EntropyBudget(12, 4), None),
+    "unsaturated": (MonotoneGrid(2, 2), [0.05, 0.1, 0.2], 2.0, EntropyBudget(48, 4), None),
+    "adaptive": (SOBOLEV, [0.25, 0.5, 1.0, 2.0], 4.0, EntropyBudget(12, 4),
+                 SOBOLEV.extreme_points()[0]),
+}
+
+
+def full_scan(body, grid, c, budget, center, seed):
+    """Per-eps best packing size over every center, no early exit."""
+    centers = _global_centers(body, budget, seed) if center is None else center[None, :]
+    best = []
+    for eps in grid:
+        sizes = [1]
+        for row in centers:
+            pseed = derive_seed(seed, "entropy-pool", float(eps), row)
+            ball = Ball(body.point(row), float(eps))
+            sizes.append(len(greedy_max_packing(body, ball, eps / c, pseed, budget.pool_size)))
+        best.append(max(sizes))
+    return np.array(best), len(centers)
+
+
+def _profile(body, grid, c, budget, center, seed):
+    mode = "global" if center is None else "adaptive"
+    return local_entropy(body, grid, c, mode=mode, center=center, budget=budget, seed=seed)
+
+
+@pytest.mark.parametrize("case", list(SCANS))
+def test_early_exit_matches_full_scan(case):
+    best, _ = full_scan(*SCANS[case], seed=5)
+    prof = _profile(*SCANS[case], seed=5)
+    assert prof.log_m.tobytes() == np.log(best).tobytes()
+    saturated = best == SCANS[case][3].pool_size + 1
+    assert saturated.any() == (case != "unsaturated")
+    assert np.array_equal(prof.saturated, saturated)
+
+
+def test_early_exit_skips_centers_once_the_pool_is_full(monkeypatch):
+    body, grid, c, budget, _ = SCANS["saturated"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return greedy_max_packing(*args, **kwargs)
+
+    monkeypatch.setattr(locent.entropy, "greedy_max_packing", counting)
+    local_entropy(body, grid, c, budget=budget, seed=5)
+    _, n_centers = full_scan(*SCANS["saturated"], seed=5)
+    assert len(calls) < n_centers * len(grid)
+
+
+def test_saturated_is_derived_and_survives_csv_and_monotonization():
+    prof = _profile(*SCANS["saturated"], seed=5)
+    assert prof.saturated.any() and not prof.saturated.all()
+    assert np.array_equal(EntropyProfile.from_csv(prof.to_csv()).saturated, prof.saturated)
+    assert np.array_equal(prof.monotonized().saturated, prof.saturated)
+    with pytest.raises(AttributeError):
+        prof.saturated = np.zeros(len(prof.eps), dtype=bool)
+    # an exact profile is never at a pool ceiling, whatever its counts
+    exact = EntropyProfile(c=2.0, kind="global", eps=[0.5, 1.0], log_m=np.log([3.0, 2.0]),
+                           exact=True, pool_size=2)
+    assert not exact.saturated.any() and exact.saturated.shape == (2,)
