@@ -11,7 +11,10 @@ Four kinds are provided:
 
 Members are coordinate vectors; the L2(P_X) distance is a scaled Euclidean
 norm (scale 1 for the linear kinds by isotropy of the design, 1/sqrt(#nodes)
-for the grid kinds by uniformity of the design on the nodes).
+for the grid kinds by uniformity of the design on the nodes).  Each body
+draws its own design points (``sample_design``) and evaluates members on
+them (``evaluate``): rows of R^p for the linear kinds, node indices for the
+grid kinds.
 """
 
 from __future__ import annotations
@@ -61,6 +64,17 @@ class ConvexBody:
     def extreme_points(self) -> np.ndarray:
         """Heuristic extreme members, rows of a (k, dim) array."""
         return np.empty((0, self.dim))
+
+    # -- design ------------------------------------------------------------
+
+    def sample_design(self, count: int, design: DesignDistribution,
+                      rng: np.random.Generator) -> np.ndarray:
+        """``count`` draws from P_X: uniform node indices; ``design`` is unused."""
+        return rng.integers(0, self.dim, size=count)
+
+    def evaluate(self, x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Values of the member ``coords`` at the design points ``x``."""
+        return coords[x]
 
     # -- wrappers ----------------------------------------------------------
 
@@ -132,7 +146,17 @@ def pull_into_ball(body: ConvexBody, rows: np.ndarray, center: np.ndarray, radiu
 # ---------------------------------------------------------------------------
 
 
-class LinearL1(ConvexBody):
+class LinearBody(ConvexBody):
+    """Linear functionals x^T beta; P_X is an isotropic design on R^p."""
+
+    def sample_design(self, count, design, rng):
+        return design.sample(count, self.p, rng)
+
+    def evaluate(self, x, coords):
+        return x @ coords
+
+
+class LinearL1(LinearBody):
     """Linear functionals over the l1 ball of a given radius in R^p."""
 
     kind = "linear_l1"
@@ -143,8 +167,6 @@ class LinearL1(ConvexBody):
         self.p = int(p)
         self.radius = float(radius)
         self.dim = self.p
-        self.metric_scale = 1.0
-        self.sup_bound = None
 
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -177,7 +199,7 @@ class LinearL1(ConvexBody):
         return np.vstack([eye, -eye])
 
 
-class LinearEllipsoid(ConvexBody):
+class LinearEllipsoid(LinearBody):
     """Linear functionals over {theta : sum theta_i^2 / a_i <= 1}, a ascending."""
 
     kind = "linear_ellipsoid"
@@ -189,8 +211,6 @@ class LinearEllipsoid(ConvexBody):
         self.a = a
         self.p = len(a)
         self.dim = self.p
-        self.metric_scale = 1.0
-        self.sup_bound = None
 
     @classmethod
     def sobolev(cls, p: int) -> "LinearEllipsoid":
@@ -511,11 +531,11 @@ def moment_ratio_check(
     pairs: int = 8,
 ) -> MomentReport:
     """Monte Carlo worst ratio ||f-g||_{Lp} / (sqrt(p) ||f-g||_{L2}) over
-    sampled member pairs of a linear class."""
-    if not isinstance(body, (LinearL1, LinearEllipsoid)):
+    sampled member pairs of a sup-norm-unbounded (linear) class."""
+    if body.sup_bound is not None:
         raise ValueError("moment check targets the sup-norm-unbounded (linear) kinds")
     rng = np.random.default_rng(seed)
-    X = design.sample(trials, body.p, rng)
+    X = body.sample_design(trials, design, rng)
     per_p = {int(q): 0.0 for q in p_values}
     used = 0
     worst = 0.0
@@ -526,7 +546,7 @@ def moment_ratio_check(
         l2 = np.linalg.norm(delta)
         if l2 < 1e-12:
             raise Degenerate("sampled pair coincides")
-        z = np.abs(X @ delta)
+        z = np.abs(body.evaluate(X, delta))
         used += 1
         for q in per_p:
             lp = float(np.mean(z ** q) ** (1.0 / q))
@@ -549,14 +569,28 @@ BODY_KEYS = {
     ("holder_grid", "holder"): ("alpha", "gamma", "m"),
 }
 
+# canonical class kind -> the keys it needs; "p or a" needs either one
+NEEDED_KEYS = {
+    "linear_l1": ("p",),
+    "linear_ellipsoid": ("p or a",),
+    "monotone_grid": ("p", "m"),
+    "holder_grid": ("alpha", "m"),
+}
+
 
 def check_body_params(kind: str, params) -> str:
-    """Canonical name of ``kind``; ValueError if unknown or given a key it does not take."""
+    """Canonical name of ``kind``; ValueError if unknown, given a key it does
+    not take, or missing a key it needs (a key set to None counts as missing)."""
     for names, keys in BODY_KEYS.items():
         if kind.lower() in names:
             stray = sorted(set(params) - set(keys))
             if stray:
                 raise ValueError(f"class kind {names[0]!r} does not take {stray}")
+            given = {k for k, v in params.items() if v is not None}
+            missing = [need for need in NEEDED_KEYS[names[0]]
+                       if given.isdisjoint(need.split(" or "))]
+            if missing:
+                raise ValueError(f"class kind {names[0]!r} needs {' and '.join(missing)}")
             return names[0]
     raise ValueError(f"unknown class kind {kind.lower()!r}")
 
@@ -566,7 +600,7 @@ def make_body(kind: str, **params) -> ConvexBody:
     if kind == "linear_l1":
         return LinearL1(p=int(params["p"]), radius=float(params.get("radius", 1.0)))
     if kind == "linear_ellipsoid":
-        if "a" in params and params["a"] is not None:
+        if params.get("a") is not None:
             return LinearEllipsoid(params["a"])
         return LinearEllipsoid.sobolev(int(params["p"]))
     if kind == "monotone_grid":

@@ -4,6 +4,9 @@ Subcommands: entropy, eps-star, certify-lower, estimate, experiment, widths,
 check-concentration, check-test, moment-check.  Global flags: --config,
 --seed (overrides the config master seed), --out, --threads.  Outputs are
 plain CSV/JSON files with deterministic content for fixed config and seed.
+entropy, eps-star and estimate read the schedule profile that a sweep builds
+at the given n; so does certify-lower, except that on adaptive configs it
+reads a global profile.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from . import config as cfgmod
 from .bodies import dist, moment_ratio_check
-from .entropy import local_entropy
 from .estimator import run_algorithm1, stage_schedule
 from .harness import (
     ExperimentConfig,
@@ -30,7 +32,6 @@ from .harness import (
     make_truth,
     resolve_condition_kind,
     run_experiment,
-    schedule_grid,
     schedule_profile,
 )
 from .rates import certify_lower_bound, solve_eps_star
@@ -65,9 +66,7 @@ def cmd_entropy(args):
     cfg = _load(args)
     n = args.n or max(cfg.n_grid)
     body, constants = _body_and_constants(cfg, n)
-    prof = local_entropy(body, schedule_grid(cfg, body), constants.c, mode="global",
-                         budget=cfg.profile_budget,
-                         seed=derive_seed(cfg.master_seed, "cli-entropy"))
+    prof = schedule_profile(cfg, body, constants, resolve_condition_kind(cfg, body))
     _write(args.out, "entropy.csv", prof.to_csv())
     print(f"{prof.saturated.sum()} of {len(prof.eps)} grid points at the pool ceiling", file=sys.stderr)
 
@@ -76,8 +75,7 @@ def cmd_eps_star(args):
     cfg = _load(args)
     n = args.n or max(cfg.n_grid)
     body, constants = _body_and_constants(cfg, n)
-    kind = resolve_condition_kind(cfg, body)
-    prof = schedule_profile(cfg, body, constants, "global" if kind != "adaptive" else "adaptive")
+    prof = schedule_profile(cfg, body, constants, resolve_condition_kind(cfg, body))
     cert = solve_eps_star(prof, n, sigma=cfg.noise.sigma, diameter=body.diameter())
     _write(args.out, "eps_star.json", cert.to_json())
 
@@ -86,7 +84,9 @@ def cmd_certify_lower(args):
     cfg = _load(args)
     n = args.n or max(cfg.n_grid)
     body, constants = _body_and_constants(cfg, n)
-    prof = schedule_profile(cfg, body, constants, "global")
+    kind = resolve_condition_kind(cfg, body)
+    # the Fano bound needs the sup over centers: adaptive configs read a global profile
+    prof = schedule_profile(cfg, body, constants, "global" if kind == "adaptive" else kind)
     report = certify_lower_bound(prof, n, sigma=cfg.noise.sigma)
     _write(args.out, "lower_bound.json", json.dumps(report, sort_keys=True, separators=(",", ":")))
 

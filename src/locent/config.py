@@ -3,8 +3,8 @@
 Every accepted ``(section, key)`` pair is an entry of :data:`KEYS`, which
 names the :class:`~locent.harness.ExperimentConfig` field the key sets and
 the parser of its value; the dataclasses hold every default.  An unknown
-section or key, or a class key its kind does not take (``bodies.BODY_KEYS``),
-raises ``ValueError``.  A ``[class]`` section gives the whole body: its keys
+section or key, a class key its kind does not take (``bodies.BODY_KEYS``),
+or a missing one it needs (``bodies.NEEDED_KEYS``) raises ``ValueError``.  A ``[class]`` section gives the whole body: its keys
 other than ``kind`` replace the default ``body_params``.
 Lists are whitespace- or comma-separated.  Unless the ``theory_*`` keys
 give them, the rate formula's parameters are read off the class.
@@ -25,13 +25,6 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
-
-
-def _bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _auto_or(parse, auto):
@@ -73,9 +66,6 @@ KEYS = {
     ("budget", "pool_size"): ("pool.size", int),
     ("budget", "pool_growth"): ("pool.growth", float),
     ("budget", "pool_cap"): ("pool.cap", int),
-    ("budget", "axis_steps"): ("pool.axis_steps", _bool),
-    ("budget", "extreme_pulls"): ("pool.extreme_pulls", _bool),
-    ("budget", "support_moves"): ("pool.support_moves", int),
     ("budget", "profile_pool"): ("profile_budget.pool_size", int),
     ("budget", "profile_centers"): ("profile_budget.centers", int),
     ("budget", "max_stages"): ("max_stages", int),

@@ -136,34 +136,30 @@ class RateConstants:
 
 @dataclass
 class RegressionData:
-    """Observed (X, Y): design matrix for linear kinds, node indices for grids."""
+    """Observed (X, Y), X as the body's ``sample_design`` returns it: (n, dim)
+    design rows for the linear kinds, n node indices for the grid kinds."""
 
     y: np.ndarray
-    design_matrix: np.ndarray | None = None
-    node_index: np.ndarray | None = None
+    x: np.ndarray
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
-        if (self.design_matrix is None) == (self.node_index is None):
-            raise DataDimensionMismatch("provide exactly one of design_matrix / node_index")
-        if self.design_matrix is not None:
-            self.design_matrix = np.asarray(self.design_matrix, dtype=np.float64)
-            if self.design_matrix.shape[0] != len(self.y):
-                raise DataDimensionMismatch("design rows != responses")
-        else:
-            self.node_index = np.asarray(self.node_index, dtype=np.int64)
-            if self.node_index.shape[0] != len(self.y):
-                raise DataDimensionMismatch("node indices != responses")
+        self.x = np.asarray(self.x)
+        if self.x.ndim not in (1, 2):
+            raise DataDimensionMismatch("x must be design rows or node indices")
+        self.x = self.x.astype(np.int64 if self.x.ndim == 1 else np.float64, copy=False)
+        if self.x.shape[0] != len(self.y):
+            raise DataDimensionMismatch("design points != responses")
 
     @property
     def n(self) -> int:
         return len(self.y)
 
     def check_body(self, body: ConvexBody):
-        if self.design_matrix is not None:
-            if self.design_matrix.shape[1] != body.dim:
+        if self.x.ndim == 2:
+            if self.x.shape[1] != body.dim:
                 raise DataDimensionMismatch("design width != class dimension")
-        elif self.node_index.max(initial=-1) >= body.dim or self.node_index.min(initial=0) < 0:
+        elif self.x.max(initial=-1) >= body.dim or self.x.min(initial=0) < 0:
             raise DataDimensionMismatch("node index outside the grid")
 
     def _stats(self):
@@ -171,14 +167,12 @@ class RegressionData:
         # O(k n dim); exact, not an approximation
         if not hasattr(self, "_cached_stats"):
             yty = float(self.y @ self.y)
-            if self.design_matrix is not None:
-                xty = self.design_matrix.T @ self.y
-                gram = self.design_matrix.T @ self.design_matrix
-                self._cached_stats = ("linear", yty, xty, gram)
+            if self.x.ndim == 2:
+                self._cached_stats = ("linear", yty, self.x.T @ self.y, self.x.T @ self.x)
             else:
-                dim = int(self.node_index.max()) + 1
-                counts = np.bincount(self.node_index, minlength=dim).astype(np.float64)
-                ysum = np.bincount(self.node_index, weights=self.y, minlength=dim)
+                dim = int(self.x.max()) + 1
+                counts = np.bincount(self.x, minlength=dim).astype(np.float64)
+                ysum = np.bincount(self.x, weights=self.y, minlength=dim)
                 self._cached_stats = ("nodes", yty, ysum, counts)
         return self._cached_stats
 
@@ -201,6 +195,7 @@ class RegressionData:
 # ---------------------------------------------------------------------------
 
 MAX_AXIS_DIMS = 128  # axis steps add 4 dim rows, so they stop past this dim
+SUPPORT_MOVES = 64  # seeded moves in the span of the largest coords
 
 
 @dataclass(frozen=True)
@@ -210,9 +205,6 @@ class PoolBudget:
     size: int = 256
     growth: float = 1.0  # pool size multiplier per stage
     cap: int = 4096
-    axis_steps: bool = True
-    extreme_pulls: bool = True
-    support_moves: int = 64  # seeded moves in the span of the largest coords
 
     def stage_size(self, k: int) -> int:
         return int(min(self.cap, round(self.size * self.growth ** (k - 1))))
@@ -222,41 +214,41 @@ def structured_candidates(
     body: ConvexBody,
     center: np.ndarray,
     radius: float,
-    budget: PoolBudget,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Pool extras: extreme pulls and blends, axis steps, and
     support-subspace refinement moves.
 
     Pure function of (body, center, radius) and the supplied generator, which
     the estimator derives from (run seed, stage, center hash); contraction
-    into the ball happens inside the pool builder.
+    into the ball happens inside the pool builder.  Every body gets axis
+    steps (dim <= MAX_AXIS_DIMS) or support moves (dim > 2), so the result
+    is never empty.
     """
     rows = []
-    if budget.extreme_pulls:
-        ext = body.extreme_points()
-        if len(ext):
-            rows.append(ext)
-            # vertex blends at several step scales, including small away
-            # steps; projection restores feasibility for the away direction
-            diff = ext - center[None, :]
-            norms = np.maximum(dist_rows(body, ext, center), 1e-300)
-            for t in (0.5, 0.25):
-                frac = np.minimum(t * radius / norms, 1.0)
-                rows.append(center[None, :] + frac[:, None] * diff)
-            away = center[None, :] - (0.125 * radius / norms)[:, None] * diff
-            rows.append(body.project_rows(away))
-    if budget.axis_steps and body.dim <= MAX_AXIS_DIMS:
+    ext = body.extreme_points()
+    if len(ext):
+        rows.append(ext)
+        # vertex blends at several step scales, including small away
+        # steps; projection restores feasibility for the away direction
+        diff = ext - center[None, :]
+        norms = np.maximum(dist_rows(body, ext, center), 1e-300)
+        for t in (0.5, 0.25):
+            frac = np.minimum(t * radius / norms, 1.0)
+            rows.append(center[None, :] + frac[:, None] * diff)
+        away = center[None, :] - (0.125 * radius / norms)[:, None] * diff
+        rows.append(body.project_rows(away))
+    if body.dim <= MAX_AXIS_DIMS:
         coord_step = radius / body.metric_scale
         eye = np.eye(body.dim)
         for s in (coord_step, 0.5 * coord_step):
             bumps = np.vstack([center[None, :] + s * eye, center[None, :] - s * eye])
             rows.append(body.feasible_rows(bumps))
-    if budget.support_moves > 0 and rng is not None and body.dim > 2:
+    if body.dim > 2:
         k = min(16, body.dim)
         top = np.argsort(-np.abs(center), kind="stable")[:k]
-        u = np.zeros((budget.support_moves, body.dim))
-        u[:, top] = rng.standard_normal((budget.support_moves, k))
+        u = np.zeros((SUPPORT_MOVES, body.dim))
+        u[:, top] = rng.standard_normal((SUPPORT_MOVES, k))
         u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
         coord_r = radius / body.metric_scale
         steps = np.vstack([
@@ -264,8 +256,6 @@ def structured_candidates(
             center[None, :] + 0.5 * coord_r * u,
         ])
         rows.append(body.feasible_rows(steps))
-    if not rows:
-        return np.empty((0, body.dim))
     return np.vstack(rows)
 
 
@@ -366,19 +356,17 @@ def run_algorithm1(
         separation = d / (2.0 ** k * (C + 1.0))
         pseed = derive_seed(seed, "stage", k, cur)
         extras = structured_candidates(
-            body, cur, radius, pool_budget,
-            rng=np.random.default_rng(derive_seed(pseed, "structured")),
-        )
+            body, cur, radius, np.random.default_rng(derive_seed(pseed, "structured")))
         if truth_injection is not None:
             pulled = pull_into_ball(body, truth_injection.coords[None, :], cur, radius)
-            extras = np.vstack([extras, pulled]) if len(extras) else pulled
+            extras = np.vstack([extras, pulled])
         rows = greedy_max_packing(
             body,
             Ball(body.point(cur), radius),
             separation,
             pseed,
             pool_budget.stage_size(k),
-            extra_candidates=extras if len(extras) else None,
+            extra_candidates=extras,
         )
         if len(rows) == 0:
             raise EmptyPacking(f"stage {k} produced no centers")
@@ -506,13 +494,10 @@ def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
     fc, gc = as_coords(f), as_coords(g)
     if dist(body, fc, gc) == 0.0:
         raise IdenticalHypotheses("test needs two distinct hypotheses")
-    mag_u = np.abs(fc) + np.abs(gc)
-    if data.design_matrix is not None:
-        X = data.design_matrix
-        u, s, mu = X @ (gc - fc), X @ (fc + gc), np.abs(X) @ mag_u
-    else:
-        idx = data.node_index
-        u, s, mu = (gc - fc)[idx], (fc + gc)[idx], mag_u[idx]
+    x = data.x
+    # node indices are nonnegative, so |x| evaluates magnitudes on every kind
+    u, s = body.evaluate(x, gc - fc), body.evaluate(x, fc + gc)
+    mu = body.evaluate(np.abs(x), np.abs(fc) + np.abs(gc))
     gap = float(u @ (2.0 * data.y - s))
     mag = float(mu @ (2.0 * np.abs(data.y) + mu))
     return bool(_psi_from_gap(gap, mag, data.n, body.dim))

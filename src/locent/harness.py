@@ -22,7 +22,7 @@ from . import __version__
 from .bodies import (
     ConvexBody,
     DesignDistribution,
-    LinearEllipsoid,
+    LinearBody,
     LinearL1,
     MonotoneGrid,
     check_body_params,
@@ -104,17 +104,10 @@ def draw_data(
     n: int,
     seed: int,
 ) -> RegressionData:
-    """One observed sample: design rows (or grid nodes) plus noisy responses."""
+    """One observed sample: the body's design points plus noisy responses."""
     rng = rng_for(seed, "data")
-    if isinstance(body, (LinearL1, LinearEllipsoid)):
-        X = design.sample(n, body.p, rng)
-        signal = X @ truth.coords
-        data = RegressionData(y=signal + noise.sample(n, rng), design_matrix=X)
-    else:
-        idx = rng.integers(0, body.dim, size=n)
-        signal = truth.coords[idx]
-        data = RegressionData(y=signal + noise.sample(n, rng), node_index=idx)
-    return data
+    x = body.sample_design(n, design, rng)
+    return RegressionData(y=body.evaluate(x, truth.coords) + noise.sample(n, rng), x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +316,7 @@ def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
         return dist(body, fhat, truth) ** 2
     m = cfg.fresh_m if cfg.fresh_m else 10 * max(cfg.n_grid)
     rng = rng_for(fresh_seed, "fresh-eval", n)
-    if isinstance(body, (LinearL1, LinearEllipsoid)):
-        X = cfg.design.sample(m, body.p, rng)
-        diffs = X @ (fhat - truth.coords)
-    else:
-        idx = rng.integers(0, body.dim, size=m)
-        diffs = fhat[idx] - truth.coords[idx]
+    diffs = body.evaluate(body.sample_design(m, cfg.design, rng), fhat - truth.coords)
     return float(np.mean(diffs * diffs))
 
 
@@ -467,24 +455,17 @@ def _pn_norms(body, design, diffs: list[np.ndarray], n: int, trials: int, rng) -
     """Per-trial n*||diff||^2_{Pn} for each coordinate difference in diffs.
 
     The empirical squared norm times n is the plain sum of squared evaluation
-    differences over the n drawn design points, for both class kinds.
+    differences over the n drawn design points, for every class kind.
     """
     chunk = max(1, min(512, int(2e7 // max(n, 1))))
     outs = [np.empty(trials) for _ in diffs]
     done = 0
-    linear = isinstance(body, (LinearL1, LinearEllipsoid))
     while done < trials:
         t = min(chunk, trials - done)
-        if linear:
-            X = design.sample(t * n, body.p, rng)
-            for j, dvec in enumerate(diffs):
-                z = (X @ dvec).reshape(t, n)
-                outs[j][done : done + t] = (z * z).sum(axis=1)
-        else:
-            idx = rng.integers(0, body.dim, size=(t, n))
-            for j, dvec in enumerate(diffs):
-                z = dvec[idx]
-                outs[j][done : done + t] = (z * z).sum(axis=1)
+        x = body.sample_design(t * n, design, rng)
+        for j, dvec in enumerate(diffs):
+            z = body.evaluate(x, dvec).reshape(t, n)
+            outs[j][done : done + t] = (z * z).sum(axis=1)
         done += t
     return outs
 
@@ -645,7 +626,7 @@ def _exact_law_applies(body: ConvexBody, design: DesignDistribution,
                        noise: NoiseModel, n: int) -> bool:
     if noise.kind not in ("gaussian", "scaled_rademacher"):
         return False
-    if isinstance(body, (LinearL1, LinearEllipsoid)):
+    if isinstance(body, LinearBody):
         dof = n if noise.kind == "gaussian" else n - 1
         return design.kind == "gaussian" and dof >= body.p
     return True
@@ -653,18 +634,19 @@ def _exact_law_applies(body: ConvexBody, design: DesignDistribution,
 
 def _gaps_direct(body, design, noise, n, trials, rng, u, w, mag_u, mag_w):
     """Simulate all n observations of each trial."""
-    linear = isinstance(body, (LinearL1, LinearEllipsoid))
+    linear = isinstance(body, LinearBody)
     gaps, mags = [], []
     for t in _trial_chunks(trials, n * body.dim if linear else n):
+        x = body.sample_design(t * n, design, rng)
         if linear:
-            X = design.sample(t * n, body.p, rng)
-            absX = np.abs(X)
-            du, dw = (X * u).sum(axis=1), (X * w).sum(axis=1)
-            mu, mw = (absX * mag_u).sum(axis=1), (absX * mag_w).sum(axis=1)
-            du, dw, mu, mw = (v.reshape(t, n) for v in (du, dw, mu, mw))
+            # elementwise sums, not body.evaluate's x @ u: they keep the
+            # swap negation of D exact
+            absx = np.abs(x)
+            du, dw = (x * u).sum(axis=1), (x * w).sum(axis=1)
+            mu, mw = (absx * mag_u).sum(axis=1), (absx * mag_w).sum(axis=1)
         else:
-            idx = rng.integers(0, body.dim, size=(t, n))
-            du, dw, mu, mw = u[idx], w[idx], mag_u[idx], mag_w[idx]
+            du, dw, mu, mw = u[x], w[x], mag_u[x], mag_w[x]
+        du, dw, mu, mw = (v.reshape(t, n) for v in (du, dw, mu, mw))
         e = noise.sample((t, n), rng)
         gaps.append((du * (dw + 2.0 * e)).sum(axis=1))
         mags.append((mu * (mw + 2.0 * np.abs(e))).sum(axis=1))
@@ -676,7 +658,7 @@ def _gaps_exact(body, design, noise, n, trials, rng, u, w, mag_u, mag_w):
     sigma = noise.sigma
     gaussian = noise.kind == "gaussian"
     gaps, mags = [], []
-    if not isinstance(body, (LinearL1, LinearEllipsoid)):
+    if not isinstance(body, LinearBody):
         # uniform design on nodes: counts c are multinomial and the noise sum
         # S_j over node j is N(0, c_j sigma^2) or sigma (2 Bin(c_j, 1/2) - c_j)
         pvals = np.full(body.dim, 1.0 / body.dim)

@@ -1,12 +1,18 @@
 import configparser
+import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locent.harness as harness
 from locent.bodies import make_body
+from locent import cli
 from locent.cli import main
 from locent.config import KEYS, load_config_text
 
@@ -117,6 +123,17 @@ def test_class_keys_the_kind_does_not_take_fail_fast():
         make_body("linear_l1", p=8, m=5)
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("kind = holder_grid\nm = 8\n", "alpha"),
+    ("kind = linear_l1\n", "p"),
+    ("kind = linear_ellipsoid\n", "p or a"),
+    ("kind = monotone_grid\np = 2\n", "m"),
+], ids=["holder", "l1", "ellipsoid", "monotone"])
+def test_missing_class_keys_fail_at_load(text, missing):
+    with pytest.raises(ValueError, match=f"needs {missing}$"):
+        load_config_text("[class]\n" + text)
+
+
 def test_sparse_theory_needs_its_keys():
     with pytest.raises(ValueError, match="theory_s"):
         load_config_text("[experiment]\ntheory = sparse_l1\ntheory_p = 8\n")
@@ -131,15 +148,15 @@ def test_unknown_sections_fail_fast(text):
 
 # per key: a value that differs from the base config's, and the other keys of
 # its section that the key needs in order to act (None removes a base key the
-# class kind does not take)
+# class kind does not take); both configs give every class key their kind needs
 PROBES = {
-    ("class", "kind"): ("holder_grid", {"p": None}),
+    ("class", "kind"): ("linear_ellipsoid", {"kind": "linear_l1", "m": None}),
     ("class", "p"): ("2", {}),
     ("class", "m"): ("8", {}),
     ("class", "radius"): ("2.0", {"kind": "linear_l1", "m": None}),
     ("class", "a"): ("0.25 1.0", {"kind": "linear_ellipsoid", "m": None}),
-    ("class", "alpha"): ("0.5", {"kind": "holder_grid", "p": None}),
-    ("class", "gamma"): ("2.0", {"kind": "holder_grid", "p": None}),
+    ("class", "alpha"): ("0.5", {"kind": "holder_grid", "p": None, "alpha": "0.3"}),
+    ("class", "gamma"): ("2.0", {"kind": "holder_grid", "p": None, "alpha": "0.5"}),
     ("design", "kind"): ("rademacher", {}),
     ("noise", "kind"): ("scaled_rademacher", {}),
     ("noise", "sigma"): ("2.0", {}),
@@ -166,9 +183,6 @@ PROBES = {
     ("budget", "pool_size"): ("8", {}),
     ("budget", "pool_growth"): ("1.3", {}),
     ("budget", "pool_cap"): ("256", {}),
-    ("budget", "axis_steps"): ("no", {}),
-    ("budget", "extreme_pulls"): ("no", {}),
-    ("budget", "support_moves"): ("8", {}),
     ("budget", "profile_pool"): ("64", {}),
     ("budget", "profile_centers"): ("2", {}),
     ("budget", "max_stages"): ("12", {}),
@@ -250,6 +264,37 @@ def test_cli_entropy_eps_star_estimate(cfg_path, tmp_path):
     trace = json.loads(open(os.path.join(out, "trace.json")).read())
     assert trace["total_stages"] >= 1
     assert len(trace["radii"]) == trace["total_stages"] - 1
+
+
+def test_cli_reads_the_sweep_schedule_profile(cfg_path, tmp_path, monkeypatch):
+    # entropy, eps-star and estimate build the profile a one-n sweep builds
+    cfg = dataclasses.replace(load_config_text(MONOTONE_INI), n_grid=(64,), replicates=2)
+    built = []
+    build = harness.schedule_profile
+
+    def record(*args):
+        prof = build(*args)
+        built.append(prof.to_csv())
+        return prof
+
+    monkeypatch.setattr(harness, "schedule_profile", record)
+    monkeypatch.setattr(cli, "schedule_profile", record)
+    harness.run_experiment(cfg)
+    out = str(tmp_path / "p")
+    for command in ("entropy", "eps-star", "estimate"):
+        main(["--config", cfg_path, "--out", out, command, "--n", "64"])
+    assert len(built) == 4 and len(set(built)) == 1
+    assert open(os.path.join(out, "entropy.csv")).read() == built[0]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package and its CLI must not need it
+    script = "import sys, locent, locent.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_runs_without_config(tmp_path):

@@ -85,7 +85,7 @@ def test_zero_noise_two_member_selection_picks_truth():
     f = body.point([0.2, 0.4])
     g = body.point([0.7, 0.9])
     idx = np.array([0, 1, 1, 0])
-    data = RegressionData(y=f.coords[idx], node_index=idx)
+    data = RegressionData(y=f.coords[idx], x=idx)
     rss = data.rss(np.vstack([f.coords, g.coords]))
     assert rss[0] == 0.0 and rss[1] > 0.0
 
@@ -166,7 +166,7 @@ def test_zero_noise_injected_truth_final_distance_bound():
     truth = make_truth(body, TruthSpec("identity"))
     # deterministic full design: every node observed, empirical = population
     idx = np.tile(np.arange(body.dim), 8)
-    data = RegressionData(y=truth.coords[idx], node_index=idx)
+    data = RegressionData(y=truth.coords[idx], x=idx)
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
     J = 5
     trace = run_algorithm1(body, data, consts, stages=J,
@@ -180,10 +180,20 @@ def test_zero_noise_injected_truth_final_distance_bound():
 
 def test_data_dimension_mismatch():
     body = MonotoneGrid(1, 4)
-    data = RegressionData(y=np.zeros(3), node_index=np.array([0, 1, 9]))
+    data = RegressionData(y=np.zeros(3), x=np.array([0, 1, 9]))
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
     with pytest.raises(DataDimensionMismatch):
         run_algorithm1(body, data, consts, stages=2, seed=0)
+
+
+@pytest.mark.parametrize("y, x", [
+    (np.zeros(3), np.array([0, 1])),
+    (np.zeros(3), np.zeros((4, 2))),
+    (np.zeros(2), np.zeros((2, 2, 2))),
+], ids=["indices", "rows", "ndim3"])
+def test_regression_data_rejects_x_of_the_wrong_shape(y, x):
+    with pytest.raises(DataDimensionMismatch):
+        RegressionData(y=y, x=x)
 
 
 # -- pairwise test ------------------------------------------------------------
@@ -194,8 +204,8 @@ def test_psi_zero_noise_cases():
     f = body.point([0.0, 0.0])
     g = body.point([1.0, 1.0])
     idx = np.array([0, 1, 0, 1])
-    data_f = RegressionData(y=f.coords[idx], node_index=idx)
-    data_g = RegressionData(y=g.coords[idx], node_index=idx)
+    data_f = RegressionData(y=f.coords[idx], x=idx)
+    data_g = RegressionData(y=g.coords[idx], x=idx)
     assert pairwise_test_psi(body, f, g, data_f) is False
     assert pairwise_test_psi(body, f, g, data_g) is True
 
@@ -226,14 +236,14 @@ def test_psi_exact_ties_give_one():
             for _ in range(100):
                 idx = rng.integers(0, 2, size=n)
                 e = np.where(rng.permutation(n) < k, 1.0, -1.0)
-                data = RegressionData(y=truth.coords[idx] + e, node_index=idx)
+                data = RegressionData(y=truth.coords[idx] + e, x=idx)
                 assert pairwise_test_psi(body, f, g, data) is want, (k, idx, e)
 
 
 def test_psi_identical_hypotheses():
     body = LinearL1(3, 1.0)
     f = body.point([0.5, 0.0, 0.0])
-    data = RegressionData(y=np.zeros(4), design_matrix=np.zeros((4, 3)))
+    data = RegressionData(y=np.zeros(4), x=np.zeros((4, 3)))
     with pytest.raises(IdenticalHypotheses):
         pairwise_test_psi(body, f, f, data)
 

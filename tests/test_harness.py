@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import locent.harness as harness
-from locent.bodies import DesignDistribution, HolderGrid, LinearL1, MonotoneGrid, dist
+from locent.bodies import (
+    DesignDistribution,
+    HolderGrid,
+    LinearEllipsoid,
+    LinearL1,
+    MonotoneGrid,
+    dist,
+)
 from locent.errors import (
     DegenerateFit,
     InsufficientData,
@@ -75,15 +82,18 @@ def test_fixed_truth_membership_checked():
 
 
 def test_draw_data_grid_and_linear():
-    mg = MonotoneGrid(1, 4)
-    t = make_truth(mg, TruthSpec("identity"))
-    d = draw_data(mg, DesignDistribution("gaussian"), NoiseModel("gaussian", 0.0), t, 32, seed=1)
-    assert d.node_index is not None and len(d.y) == 32
-    assert np.allclose(d.y, t.coords[d.node_index])
-    l1 = LinearL1(3, 1.0)
-    t2 = make_truth(l1, TruthSpec("sampled", seed=2))
-    d2 = draw_data(l1, DesignDistribution("rademacher"), NoiseModel("gaussian", 0.0), t2, 16, seed=1)
-    assert np.allclose(d2.y, d2.design_matrix @ t2.coords)
+    for body, design in [
+        (MonotoneGrid(1, 4), "gaussian"),
+        (HolderGrid(0.5, 1.0, 6), "gaussian"),
+        (LinearL1(3, 1.0), "rademacher"),
+        (LinearEllipsoid.sobolev(4), "uniform_cube"),
+    ]:
+        t = make_truth(body, TruthSpec("sampled", seed=2))
+        d = draw_data(body, DesignDistribution(design), NoiseModel("gaussian", 0.0), t, 32,
+                      seed=1)
+        assert len(d.y) == len(d.x) == 32
+        assert np.array_equal(d.y, body.evaluate(d.x, t.coords)), body.kind
+        d.check_body(body)
 
 
 # -- experiments -----------------------------------------------------------------
