@@ -12,9 +12,9 @@ Four kinds are provided:
 Members are coordinate vectors; the L2(P_X) distance is a scaled Euclidean
 norm (scale 1 for the linear kinds by isotropy of the design, 1/sqrt(#nodes)
 for the grid kinds by uniformity of the design on the nodes).  Each body
-draws its own design points (``sample_design``) and evaluates members on
-them (``evaluate``): rows of R^p for the linear kinds, node indices for the
-grid kinds.
+draws its own design points (``sample_design``), checks given ones
+(``check_design``) and evaluates members on them (``evaluate``): rows of R^p
+for the linear kinds, node indices for the grid kinds.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projections as proj
-from .errors import Degenerate, DimensionMismatch
+from .errors import DataDimensionMismatch, Degenerate, DimensionMismatch
 from .points import MetricPoint, as_coords
 
 MEMBERSHIP_TOL = 1e-8
+SWEEP_CYCLES = 50  # MonotoneGrid feasibility sweeps before the exact projection
 
 
 class ConvexBody:
@@ -75,6 +76,13 @@ class ConvexBody:
     def evaluate(self, x: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Values of the member ``coords`` at the design points ``x``."""
         return coords[x]
+
+    def check_design(self, x: np.ndarray):
+        """DataDimensionMismatch unless ``x`` holds node indices in [0, dim)."""
+        if x.ndim != 1:
+            raise DataDimensionMismatch("design must be node indices")
+        if x.max(initial=-1) >= self.dim or x.min(initial=0) < 0:
+            raise DataDimensionMismatch("node index outside the grid")
 
     # -- wrappers ----------------------------------------------------------
 
@@ -154,6 +162,10 @@ class LinearBody(ConvexBody):
 
     def evaluate(self, x, coords):
         return x @ coords
+
+    def check_design(self, x):
+        if x.ndim != 2 or x.shape[1] != self.p:
+            raise DataDimensionMismatch("design must be (n, p) rows")
 
 
 class LinearL1(LinearBody):
@@ -311,13 +323,13 @@ class MonotoneGrid(ConvexBody):
         c /= c[:, -1:]
         return a[:, None] + (b - a)[:, None] * c
 
-    def _feasible_sweep(self, X: np.ndarray, max_cycles: int = 50) -> np.ndarray:
+    def _feasible_sweep(self, X: np.ndarray) -> np.ndarray:
         """Cheap member-producing map: alternate axis isotonics and the box
         clip until feasible.  Identity on members, so full support survives."""
         Y = X
         if self.m == 1 or self.p == 1:
             return self.project_rows(Y)
-        for _ in range(max_cycles):
+        for _ in range(SWEEP_CYCLES):
             for ax in range(self.p):
                 Y = self._axis_isotonic(Y, ax)
             Y = np.clip(Y, 0.0, 1.0)

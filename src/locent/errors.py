@@ -33,10 +33,6 @@ class Degenerate(LocentError):
     """A sampled pair of members coincides."""
 
 
-class EmptyPacking(LocentError):
-    """A packing stage produced no centers."""
-
-
 class DataDimensionMismatch(LocentError):
     """Regression data does not match the class geometry."""
 

@@ -25,17 +25,13 @@ import numpy as np
 
 from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
 from .entropy import EntropyProfile
-from .errors import (
-    DataDimensionMismatch,
-    EmptyPacking,
-    IdenticalHypotheses,
-    ProfileTooCoarse,
-)
+from .errors import DataDimensionMismatch, IdenticalHypotheses, ProfileTooCoarse
 from .packing import greedy_max_packing
 from .points import Ball, MetricPoint, as_coords
 from .seeds import derive_seed
 
 LOG2 = float(np.log(2.0))
+CAUCHY_RTOL = 1e-9  # relative slack of the trace invariants for rounding
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +152,7 @@ class RegressionData:
         return len(self.y)
 
     def check_body(self, body: ConvexBody):
-        if self.x.ndim == 2:
-            if self.x.shape[1] != body.dim:
-                raise DataDimensionMismatch("design width != class dimension")
-        elif self.x.max(initial=-1) >= body.dim or self.x.min(initial=0) < 0:
-            raise DataDimensionMismatch("node index outside the grid")
+        body.check_design(self.x)
 
     def _stats(self):
         # sufficient statistics make the residual scan O(k dim^2) instead of
@@ -195,7 +187,6 @@ class RegressionData:
 # ---------------------------------------------------------------------------
 
 MAX_AXIS_DIMS = 128  # axis steps add 4 dim rows, so they stop past this dim
-SUPPORT_MOVES = 64  # seeded moves in the span of the largest coords
 
 
 @dataclass(frozen=True)
@@ -210,22 +201,15 @@ class PoolBudget:
         return int(min(self.cap, round(self.size * self.growth ** (k - 1))))
 
 
-def structured_candidates(
-    body: ConvexBody,
-    center: np.ndarray,
-    radius: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Pool extras: extreme pulls and blends, axis steps, and
-    support-subspace refinement moves.
+def structured_candidates(body: ConvexBody, center: np.ndarray, radius: float) -> np.ndarray:
+    """Pool extras: extreme points, their blends and away steps, and axis
+    steps.
 
-    Pure function of (body, center, radius) and the supplied generator, which
-    the estimator derives from (run seed, stage, center hash); contraction
-    into the ball happens inside the pool builder.  Every body gets axis
-    steps (dim <= MAX_AXIS_DIMS) or support moves (dim > 2), so the result
-    is never empty.
+    Pure function of (body, center, radius); contraction into the ball
+    happens inside the pool builder.  A body with no extreme points and
+    dim > MAX_AXIS_DIMS gets no extras, a (0, dim) array.
     """
-    rows = []
+    rows = [np.empty((0, body.dim))]
     ext = body.extreme_points()
     if len(ext):
         rows.append(ext)
@@ -244,18 +228,6 @@ def structured_candidates(
         for s in (coord_step, 0.5 * coord_step):
             bumps = np.vstack([center[None, :] + s * eye, center[None, :] - s * eye])
             rows.append(body.feasible_rows(bumps))
-    if body.dim > 2:
-        k = min(16, body.dim)
-        top = np.argsort(-np.abs(center), kind="stable")[:k]
-        u = np.zeros((SUPPORT_MOVES, body.dim))
-        u[:, top] = rng.standard_normal((SUPPORT_MOVES, k))
-        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-        coord_r = radius / body.metric_scale
-        steps = np.vstack([
-            center[None, :] + coord_r * u,
-            center[None, :] + 0.5 * coord_r * u,
-        ])
-        rows.append(body.feasible_rows(steps))
     return np.vstack(rows)
 
 
@@ -283,19 +255,19 @@ class EstimatorTrace:
     def final(self) -> np.ndarray:
         return self.upsilon[-1]
 
-    def validate_cauchy(self, body: ConvexBody, rtol: float = 1e-9):
+    def validate_cauchy(self, body: ConvexBody):
         """Consecutive moves bounded by the stage radius and, for j < k,
         dist(Y_j, Y_k) <= d / 2^(j-2)."""
         ys = self.upsilon
         gap = dist_rows(body, ys[:, None, :], ys)
         steps = np.diagonal(gap, 1)
-        over = np.flatnonzero(steps > np.asarray(self.radii) * (1.0 + rtol))
+        over = np.flatnonzero(steps > np.asarray(self.radii) * (1.0 + CAUCHY_RTOL))
         if len(over):
             j = over[0]
             raise AssertionError(f"stage {j + 1} moved {float(steps[j])} > radius {self.radii[j]}")
         # = d / 2^((j+1)-2) with 1-based j+1
         bound = self.diameter / 2.0 ** (np.arange(len(ys)) - 1.0)
-        over = np.argwhere(np.triu(gap > bound[:, None] * (1.0 + rtol), 1))
+        over = np.argwhere(np.triu(gap > bound[:, None] * (1.0 + CAUCHY_RTOL), 1))
         if len(over):
             j, k = over[0]
             raise AssertionError(
@@ -355,8 +327,7 @@ def run_algorithm1(
         radius = d / 2.0 ** (k - 1)
         separation = d / (2.0 ** k * (C + 1.0))
         pseed = derive_seed(seed, "stage", k, cur)
-        extras = structured_candidates(
-            body, cur, radius, np.random.default_rng(derive_seed(pseed, "structured")))
+        extras = structured_candidates(body, cur, radius)
         if truth_injection is not None:
             pulled = pull_into_ball(body, truth_injection.coords[None, :], cur, radius)
             extras = np.vstack([extras, pulled])
@@ -368,8 +339,6 @@ def run_algorithm1(
             pool_budget.stage_size(k),
             extra_candidates=extras,
         )
-        if len(rows) == 0:
-            raise EmptyPacking(f"stage {k} produced no centers")
         rss = data.rss(rows)
         best = float(rss.min())
         ties = np.flatnonzero(rss == best)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import NoConvergence
 
-ABS_TOL = 1e-10
-MAX_ITER = 10_000
+ABS_TOL = 1e-10  # Dykstra's cycle-to-cycle residual bound
+MAX_ITER = 10_000  # Dykstra cycles before NoConvergence
 _NEWTON_MAX_ITER = 100
 
 
@@ -141,21 +141,21 @@ def project_quad_ball_rows(X: np.ndarray, evecs: np.ndarray, evals: np.ndarray, 
     return out
 
 
-def dykstra(x: np.ndarray, projectors, tol: float = ABS_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
+def dykstra(x: np.ndarray, projectors) -> np.ndarray:
     """Dykstra's alternating projection onto an intersection of convex sets.
 
     ``x`` is a (k, dim) batch of rows and ``projectors`` is a sequence of
     callables mapping (k, dim) -> (k, dim).  Raises NoConvergence when the
-    cycle-to-cycle residual stays above ``tol`` after ``max_iter`` cycles.
+    cycle-to-cycle residual stays above ABS_TOL after MAX_ITER cycles.
     """
     y = np.asarray(x, dtype=np.float64)
     increments = [np.zeros_like(y) for _ in projectors]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         prev = y.copy()
         for j, proj in enumerate(projectors):
             z = y + increments[j]
             y = proj(z)
             increments[j] = z - y
-        if np.max(np.abs(y - prev)) < tol:
+        if np.max(np.abs(y - prev)) < ABS_TOL:
             return y
-    raise NoConvergence(f"Dykstra residual above {tol} after {max_iter} cycles")
+    raise NoConvergence(f"Dykstra residual above {ABS_TOL} after {MAX_ITER} cycles")

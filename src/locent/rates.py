@@ -18,6 +18,7 @@ from .entropy import EntropyProfile
 from .errors import BadParams, NoValidIndex
 
 LOG2 = float(np.log(2.0))
+BISECT_STEPS = 200  # halvings of a log-eps bracket, past machine precision
 
 
 @dataclass
@@ -56,10 +57,10 @@ class RateCertificate:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _bisect_decreasing(fn, t_lo: float, t_hi: float, steps: int = 200):
+def _bisect_decreasing(fn, t_lo: float, t_hi: float):
     """Root bracket for fn positive at t_lo, nonpositive at t_hi."""
     lo, hi = t_lo, t_hi
-    for _ in range(steps):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if fn(mid) > 0.0:
             lo = mid

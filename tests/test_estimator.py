@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from locent.bodies import DesignDistribution, LinearL1, MonotoneGrid, dist
+from locent.bodies import (
+    DesignDistribution,
+    HolderGrid,
+    LinearEllipsoid,
+    LinearL1,
+    MonotoneGrid,
+    dist,
+)
 from locent.entropy import EntropyProfile
 from locent.errors import (
     DataDimensionMismatch,
@@ -19,6 +26,7 @@ from locent.estimator import (
     pairwise_test_psi,
     run_algorithm1,
     stage_schedule,
+    structured_candidates,
 )
 from locent.harness import TruthSpec, draw_data, make_truth
 
@@ -194,6 +202,42 @@ def test_data_dimension_mismatch():
 def test_regression_data_rejects_x_of_the_wrong_shape(y, x):
     with pytest.raises(DataDimensionMismatch):
         RegressionData(y=y, x=x)
+
+
+@pytest.mark.parametrize("body, x", [
+    (LinearL1(4), [0, 1, 2, 3, 1, 2]),
+    (MonotoneGrid(1, 3), np.full((6, 3), 0.5)),
+], ids=["indices-for-linear", "rows-for-grid"])
+def test_design_of_the_wrong_kind_is_rejected(body, x):
+    # the shapes alone fit (indices below p, rows of width dim); the body
+    # knows which kind of design it takes
+    data = RegressionData(y=np.ones(6), x=x)
+    with pytest.raises(DataDimensionMismatch):
+        run_algorithm1(body, data, RateConstants(4.0, 0.01), 3)
+
+
+# -- pool extras --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("body", [
+    LinearL1(8), LinearEllipsoid.sobolev(6), MonotoneGrid(2, 4), HolderGrid(0.5, 1.0, 6),
+], ids=lambda b: b.tag)
+def test_structured_candidates_are_a_pure_function_of_the_ball(body):
+    center = body.sample_rows(1, np.random.default_rng(4))[0]
+    radius = 0.5 * body.diameter()
+    rows = structured_candidates(body, center, radius)
+    assert rows.tobytes() == structured_candidates(body, center, radius).tobytes()
+    # extreme points, two blends and an away step each; four axis steps per dim
+    assert rows.shape == (4 * len(body.extreme_points()) + 4 * body.dim, body.dim)
+    assert all(body.contains_coords(r) for r in rows)
+
+
+def test_structured_candidates_skip_axis_steps_past_the_dim_cap():
+    body = MonotoneGrid(2, 12)
+    center = body.sample_rows(1, np.random.default_rng(4))[0]
+    rows = structured_candidates(body, center, 0.5)
+    assert rows.shape == (8, 144)
+    assert all(body.contains_coords(r) for r in rows)
 
 
 # -- pairwise test ------------------------------------------------------------
