@@ -143,7 +143,14 @@ class RegressionData:
         self.x = np.asarray(self.x)
         if self.x.ndim not in (1, 2):
             raise DataDimensionMismatch("x must be design rows or node indices")
-        self.x = self.x.astype(np.int64 if self.x.ndim == 1 else np.float64, copy=False)
+        if self.x.ndim == 1:
+            with np.errstate(invalid="ignore"):  # nan and inf fail the check below
+                idx = self.x.astype(np.int64, copy=False)
+            if not np.array_equal(idx, self.x):
+                raise DataDimensionMismatch("node indices must be integers")
+            self.x = idx
+        else:
+            self.x = self.x.astype(np.float64, copy=False)
         if self.x.shape[0] != len(self.y):
             raise DataDimensionMismatch("design points != responses")
 
@@ -460,6 +467,7 @@ def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
     u = g - f and s = f + g; a tie gives psi = 1 even when rounding puts the
     computed gap just below zero.
     """
+    data.check_body(body)
     fc, gc = as_coords(f), as_coords(g)
     if dist(body, fc, gc) == 0.0:
         raise IdenticalHypotheses("test needs two distinct hypotheses")

@@ -452,22 +452,48 @@ def concentration_bound_unbounded(
 
 
 def _pn_norms(body, design, diffs: list[np.ndarray], n: int, trials: int, rng) -> list[np.ndarray]:
-    """Per-trial n*||diff||^2_{Pn} for each coordinate difference in diffs.
+    """Per-trial n*||diff||^2_{Pn} for each coordinate difference in diffs,
+    drawn jointly from their exact law; see :func:`check_norm_concentration`
+    for the cases."""
+    if not isinstance(body, LinearBody):
+        # uniform design on nodes: each statistic is sum_j c_j d_j^2 with the
+        # same multinomial node counts c for every difference d
+        sq = np.stack([d * d for d in diffs])
+        pvals = np.full(body.dim, 1.0 / body.dim)
+        outs = [(rng.multinomial(n, pvals, size=t)[:, None, :] * sq).sum(axis=2)
+                for t in _trial_chunks(trials, body.dim)]
+        return list(np.concatenate(outs).T)
+    if design.kind == "gaussian" and len(diffs) == 2 and n >= 2:
+        # with D the two differences as columns, D^T X^T X D ~
+        # Wishart_2(n, D^T D) = R A A^T R in law, A the Bartlett factor and R
+        # the symmetric root of the Gram matrix D^T D; a root, unlike a
+        # Cholesky factor, needs no full rank
+        R = _sqrt_psd_2x2(np.array([[float((a * b).sum()) for b in diffs] for a in diffs]))
+        outs = []
+        for t in _trial_chunks(trials, 4):
+            RA = (R[None, :, :, None] * _bartlett(t, 2, n, rng)[:, None, :, :]).sum(axis=2)
+            outs.append((RA * RA).sum(axis=2))
+        return list(np.concatenate(outs).T)
+    return _pn_norms_direct(body, design, diffs, n, trials, rng)
 
-    The empirical squared norm times n is the plain sum of squared evaluation
-    differences over the n drawn design points, for every class kind.
-    """
-    chunk = max(1, min(512, int(2e7 // max(n, 1))))
-    outs = [np.empty(trials) for _ in diffs]
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
+
+def _pn_norms_direct(body, design, diffs, n, trials, rng) -> list[np.ndarray]:
+    """Simulate all n design points of each trial."""
+    per_trial = n * body.dim if isinstance(body, LinearBody) else n
+    outs = []
+    for t in _trial_chunks(trials, per_trial):
         x = body.sample_design(t * n, design, rng)
-        for j, dvec in enumerate(diffs):
-            z = body.evaluate(x, dvec).reshape(t, n)
-            outs[j][done : done + t] = (z * z).sum(axis=1)
-        done += t
-    return outs
+        z = np.stack([body.evaluate(x, d).reshape(t, n) for d in diffs], axis=1)
+        outs.append((z * z).sum(axis=2))
+    return list(np.concatenate(outs).T)
+
+
+def _sqrt_psd_2x2(G: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a 2x2 positive semidefinite G, rank 1 or 0
+    included: (G + s I) / sqrt(tr G + 2 s) with s = sqrt(det G)."""
+    s = np.sqrt(max(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0], 0.0))
+    scale = np.sqrt(G[0, 0] + G[1, 1] + 2.0 * s)
+    return (G + s * np.eye(2)) / scale if scale > 0.0 else np.zeros((2, 2))
 
 
 def check_norm_concentration(
@@ -489,6 +515,19 @@ def check_norm_concentration(
 
     Event: n||f-fbar||^2_Pn <= 2 delta^2 and n||f-g||^2_Pn >= (C^2-1) delta^2.
     Preconditions: n||f-g||^2 >= C^2 delta^2 and n||f-fbar||^2 < delta^2.
+
+    Both statistics are sums over the n design points, so each trial draws
+    the pair jointly from its exact law, at a cost free of n:
+
+    - grid bodies: multinomial node counts c, shared by both statistics
+      sum_j c_j d_j^2;
+    - linear bodies with the gaussian design, n >= 2: the diagonal of
+      R A A^T R, with A a 2x2 Bartlett factor of the Wishart_2(n, I) law and
+      R the symmetric square root of the Gram matrix of f - fbar and f - g
+      (rank 1 or 0 when f = fbar or the differences are parallel).
+
+    Every other case (the rademacher and uniform_cube designs, n = 1)
+    simulates all n design points.
     """
     fc, gc, bc = as_coords(f), as_coords(g), as_coords(f_bar)
     if n * dist(body, fc, gc) ** 2 < C * C * delta * delta:

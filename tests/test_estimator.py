@@ -204,6 +204,18 @@ def test_regression_data_rejects_x_of_the_wrong_shape(y, x):
         RegressionData(y=y, x=x)
 
 
+def test_fractional_node_indices_are_rejected():
+    # a cast to int64 would truncate them to [0 1 2 0] without a word
+    with pytest.raises(DataDimensionMismatch):
+        RegressionData(y=np.ones(4), x=[0.7, 1.2, 2.9, 0.1])
+    with pytest.raises(DataDimensionMismatch):
+        RegressionData(y=np.ones(2), x=[np.nan, 1.0])
+    # integer-valued indices of any dtype still load
+    for x in ([0.0, 1.0, 2.0, 0.0], np.array([0, 1, 2, 0], dtype=np.uint8)):
+        data = RegressionData(y=np.ones(4), x=x)
+        assert data.x.dtype == np.int64 and data.x.tolist() == [0, 1, 2, 0]
+
+
 @pytest.mark.parametrize("body, x", [
     (LinearL1(4), [0, 1, 2, 3, 1, 2]),
     (MonotoneGrid(1, 3), np.full((6, 3), 0.5)),
@@ -282,6 +294,13 @@ def test_psi_exact_ties_give_one():
                 e = np.where(rng.permutation(n) < k, 1.0, -1.0)
                 data = RegressionData(y=truth.coords[idx] + e, x=idx)
                 assert pairwise_test_psi(body, f, g, data) is want, (k, idx, e)
+
+
+def test_psi_rejects_a_design_of_the_wrong_kind():
+    body = LinearL1(3, 1.0)
+    f, g = body.point([0.5, 0.0, 0.0]), body.point([-0.5, 0.0, 0.0])
+    with pytest.raises(DataDimensionMismatch):
+        pairwise_test_psi(body, f, g, RegressionData(y=np.ones(3), x=[0, 1, 2]))
 
 
 def test_psi_identical_hypotheses():

@@ -283,6 +283,51 @@ def test_concentration_unbounded_needs_alpha():
     assert 0.0 <= rep.frequency <= 1.0
 
 
+PN_CASES = {
+    # (body, f - fbar, f - g, n): a full-rank pair, a rank-1 pair (parallel
+    # or opposite differences) and a zero difference (f = fbar) per kind
+    "grid-full-rank": (MonotoneGrid(1, 4), [0.2, 0.1, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], 50),
+    "grid-rank-1": (MonotoneGrid(1, 4), [0.2, 0.1, 0.0, 0.0], [0.4, 0.2, 0.0, 0.0], 50),
+    "grid-zero": (MonotoneGrid(1, 4), [0.0] * 4, [1.0, 1.0, 0.0, 0.0], 50),
+    "l1-full-rank": (LinearL1(4, 1.0), [0.1, 0.0, 0.0, 0.05], [2.0, 0.0, 0.0, 0.0], 20),
+    "l1-rank-1": (LinearL1(4, 1.0), [0.1, 0.0, 0.0, 0.05], [-0.4, 0.0, 0.0, -0.2], 20),
+    "l1-zero": (LinearL1(4, 1.0), [0.0] * 4, [2.0, 0.0, 0.0, 0.0], 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PN_CASES))
+def test_pn_norms_exact_law_matches_simulation(case):
+    # the exact-law pair against simulating all n design points, on
+    # separate seeds: both means, the joint-event frequency and the
+    # cross-correlation, which a sampler drawing the two statistics
+    # independently gets wrong
+    body, close_d, far_d, n = PN_CASES[case]
+    diffs = [np.array(close_d), np.array(far_d)]
+    design, trials = DesignDistribution("gaussian"), 20_000
+    exact = harness._pn_norms(body, design, diffs, n, trials, np.random.default_rng(31))
+    direct = harness._pn_norms_direct(body, design, diffs, n, trials, np.random.default_rng(32))
+
+    def within(p, q, se):
+        assert abs(p - q) <= 4.0 * se, (p, q, se)
+
+    for e, d in zip(exact, direct):
+        within(e.mean(), d.mean(), np.sqrt((e.var() + d.var()) / trials))
+    # the event of the check with population thresholds n ||d||^2
+    close_t, far_t = (n * dist(body, d, np.zeros_like(d)) ** 2 for d in diffs)
+    p, q = (np.mean((c <= close_t) & (f >= 0.75 * far_t)) for c, f in (exact, direct))
+    assert 0.01 < min(p, q) and max(p, q) < 0.99
+    within(p, q, np.sqrt((p * (1.0 - p) + q * (1.0 - q)) / trials))
+    if not np.any(diffs[0]):
+        assert not np.any(exact[0]) and not np.any(direct[0])
+        return
+    # correlation as the mean product of standardized statistics, with its
+    # sample SE; parallel differences give a correlation of 1
+    prods = [((c - c.mean()) / c.std()) * ((f - f.mean()) / f.std()) for c, f in (exact, direct)]
+    assert min(pr.mean() for pr in prods) > 0.5
+    within(prods[0].mean(), prods[1].mean(),
+           np.sqrt(sum(pr.var() for pr in prods) / trials) + 1e-9)
+
+
 # -- pairwise test error checks -------------------------------------------------------
 
 

@@ -75,16 +75,26 @@ def test_sparse_cone_support_matches_nonlinear_solver():
     G = rng.standard_normal((8, p))
     vals = cone.support_rows(G)
 
+    # the off-support coordinates are split as u - w with u, w >= 0, so the
+    # cone constraint sgn . t_S + sum(u + w) <= 0 is linear and SLSQP sees
+    # only smooth constraints; u = max(x, 0), w = max(-x, 0) reach every
+    # point of the original feasible set, so the maximum is the same
+    def point(z):
+        return np.concatenate([z[:s], z[s:p] - z[p:]])
+
+    bounds = [(None, None)] * s + [(0.0, None)] * (2 * (p - s))
+
     def oracle(g):
         best = 0.0
         for _ in range(40):
             x0 = rng.standard_normal(p) * 0.5
+            z0 = np.concatenate([x0[:s], np.maximum(x0[s:], 0.0), np.maximum(-x0[s:], 0.0)])
             cons = [
-                {"type": "ineq", "fun": lambda t: 1 - t @ t},
-                {"type": "ineq", "fun": lambda t: -(sgn @ t[:s] + np.abs(t[s:]).sum())},
+                {"type": "ineq", "fun": lambda z: 1 - point(z) @ point(z)},
+                {"type": "ineq", "fun": lambda z: -(sgn @ z[:s] + z[s:].sum())},
             ]
-            r = minimize(lambda t: -(g @ t), x0, constraints=cons, method="SLSQP",
-                         options={"maxiter": 200, "ftol": 1e-12})
+            r = minimize(lambda z: -(g @ point(z)), z0, constraints=cons, method="SLSQP",
+                         bounds=bounds, options={"maxiter": 200, "ftol": 1e-12})
             if r.success:
                 best = max(best, -r.fun)
         return best
