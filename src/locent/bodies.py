@@ -28,7 +28,6 @@ from .errors import DataDimensionMismatch, Degenerate, DimensionMismatch
 from .points import MetricPoint, as_coords
 
 MEMBERSHIP_TOL = 1e-8
-SWEEP_CYCLES = 50  # MonotoneGrid feasibility sweeps before the exact projection
 
 
 class ConvexBody:
@@ -324,18 +323,18 @@ class MonotoneGrid(ConvexBody):
         return a[:, None] + (b - a)[:, None] * c
 
     def _feasible_sweep(self, X: np.ndarray) -> np.ndarray:
-        """Cheap member-producing map: alternate axis isotonics and the box
-        clip until feasible.  Identity on members, so full support survives."""
-        Y = X
+        """Cheap member-producing map: one isotonic pass per axis, then the
+        box clip.  Isotonic regression and the clip are order-preserving, so
+        each pass keeps the earlier axes monotone; the exact projection is
+        only a guard against rounding.  Identity on members, so full support
+        survives."""
         if self.m == 1 or self.p == 1:
-            return self.project_rows(Y)
-        for _ in range(SWEEP_CYCLES):
-            for ax in range(self.p):
-                Y = self._axis_isotonic(Y, ax)
-            Y = np.clip(Y, 0.0, 1.0)
-            if self._all_members(Y):
-                return Y
-        return self.project_rows(Y)
+            return self.project_rows(X)
+        Y = X
+        for ax in range(self.p):
+            Y = self._axis_isotonic(Y, ax)
+        Y = np.clip(Y, 0.0, 1.0)
+        return Y if self._all_members(Y) else self.project_rows(Y)
 
     def feasible_rows(self, X: np.ndarray) -> np.ndarray:
         return self._feasible_sweep(np.asarray(X, dtype=np.float64))

@@ -19,7 +19,8 @@ from .points import Ball, as_coords
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
-SCREEN_BLOCK = 512  # rows screened per Gram block
+# rows per Gram block: 128 rows of float64 against a 1,800-row pool (1.8 MB) stay in L2
+SCREEN_BLOCK = 128
 
 
 def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start: int = 0):
@@ -31,12 +32,17 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     unless it conflicts with a row already kept.  Returns the kept indices in
     ascending order; every candidate is within ``separation`` of one of them.
 
-    Each pair is screened once, ``SCREEN_BLOCK`` rows at a time, on the rows
-    centered on ``points[start]``: ``|x|^2 + |y|^2 - 2 x.y`` against
-    ``(separation / metric_scale)^2``.  Gram, centering and ``dist_rows``
-    rounding stay below ``(2 dim + 8) eps (|x|^2 + |y|^2 + threshold)``, so a
-    pair within that band of the threshold is decided by ``dist_rows``: every
-    decision agrees with ``dist_rows``, whatever the BLAS rounding.
+    Each pair is screened once, on the rows centered on ``points[start]``:
+    ``|x|^2 + |y|^2 - 2 x.y`` against ``(separation / metric_scale)^2``.  A
+    block of ``SCREEN_BLOCK`` rows is screened against itself and every later
+    row and writes straight into the conflict matrix.  Nothing is mirrored,
+    so a row's conflicts are its row of the matrix or its column.  Gram,
+    centering and ``dist_rows`` rounding stay below
+    ``(2 dim + 8) eps (|x|^2 + |y|^2 + threshold)``.  A pair below the
+    threshold by more than that band is a conflict and one above it by more
+    is not; when a block has more pairs below ``+band`` than below ``-band``,
+    the pairs in between are decided by ``dist_rows``.  So every decision
+    agrees with ``dist_rows``, whatever the BLAS rounding.
     """
     n, dim = points.shape
     x = points - points[start]
@@ -44,28 +50,27 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     thr = (separation / body.metric_scale) ** 2
     # one band for all pairs: the largest |x|^2 bounds every |x|^2 + |y|^2
     band = (2 * dim + 8) * np.finfo(np.float64).eps * (2.0 * sq.max() + thr)
-    conflict = np.empty((n, n), dtype=bool)
+    conflict = np.zeros((n, n), dtype=bool)
     for lo in range(0, n, SCREEN_BLOCK):
         hi = min(lo + SCREEN_BLOCK, n)
-        # block rows against themselves and later rows; earlier ones mirror
         d2 = (-2.0 * x[lo:hi]) @ x[lo:].T
         d2 += sq[lo:]
         d2 += (sq[lo:hi] - thr)[:, None]  # now squared distance - threshold
-        hit = d2 <= 0.0
-        np.abs(d2, out=d2)
-        near_i, near_j = np.nonzero(d2 <= band)
-        for c in range(0, len(near_i), SCREEN_BLOCK):
-            i, j = near_i[c:c + SCREEN_BLOCK], near_j[c:c + SCREEN_BLOCK]
-            hit[i, j] = dist_rows(body, points[lo + i], points[lo + j]) <= separation
+        hit = conflict[lo:hi, lo:]
+        np.less(d2, -band, out=hit)  # sure conflicts
+        maybe = d2 <= band
+        if np.count_nonzero(maybe) != np.count_nonzero(hit):
+            near_i, near_j = np.nonzero(maybe ^ hit)  # hit is a subset of maybe
+            for c in range(0, len(near_i), SCREEN_BLOCK):
+                i, j = near_i[c:c + SCREEN_BLOCK], near_j[c:c + SCREEN_BLOCK]
+                hit[i, j] = dist_rows(body, points[lo + i], points[lo + j]) <= separation
         np.fill_diagonal(hit, False)  # a row does not conflict with itself
-        conflict[lo:hi, lo:] = hit
-        conflict[lo:, lo:hi] = hit.T
     order = np.argsort(-dist_rows(body, points, points[start]), kind="stable")
     order = np.concatenate(([start], order[order != start]))
     free = np.ones(n, dtype=bool)
-    for i in order[conflict.any(axis=1)[order]]:
+    for i in order[(conflict.any(axis=1) | conflict.any(axis=0))[order]]:
         if free[i]:
-            free &= ~conflict[i]
+            free &= ~(conflict[i] | conflict[:, i])
     return np.flatnonzero(free)
 
 

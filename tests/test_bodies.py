@@ -212,6 +212,21 @@ def test_samples_are_members(body):
     assert all(body.contains_coords(r, 1e-9) for r in rows)
 
 
+@pytest.mark.parametrize("p,m", [(2, 3), (2, 16), (3, 4), (4, 3)])
+def test_one_feasibility_pass_gives_members(p, m, monkeypatch):
+    # isotonic passes and the clip are order-preserving, so one pass per axis
+    # keeps every earlier axis monotone and the exact projection never runs
+    body = MonotoneGrid(p, m)
+    monkeypatch.setattr(body, "project_rows", lambda X: pytest.fail("fallback ran"))
+    rng = np.random.default_rng(p * 100 + m)
+    member = body.sample_rows(1, rng)
+    for X in (rng.random((64, body.dim)),
+              0.5 + 2.0 * rng.standard_normal((64, body.dim)),
+              member + 0.1 * rng.standard_normal((64, body.dim))):
+        assert body._all_members(body.feasible_rows(X), tol=0.0)
+    np.testing.assert_array_equal(body.feasible_rows(member), member)
+
+
 def test_two_seeds_differ_overwhelmingly():
     # the l1 projection has atoms at the vertices, so exact collisions can
     # occur; they must stay rare

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -228,14 +229,11 @@ def _oracle_walk(pair: np.ndarray, separation: float, start: int) -> np.ndarray:
     return np.array(sorted(kept))
 
 
-@pytest.mark.parametrize("body", [LinearL1(3, 1.0), MonotoneGrid(1, 3)],
-                         ids=lambda b: b.kind)
-@pytest.mark.parametrize("offset", [0.3, 1e4])
-def test_greedy_select_near_threshold_matches_dist_rows_oracle(body, offset):
+def _check_near_threshold_lattice(body, offset, side):
     # a 0.1-spaced lattice puts many pairs at one spacing up to rounding;
     # the separation is set to each rounded spacing and one ulp either side
     h = 0.1
-    axes = np.meshgrid(*[np.arange(4)] * body.dim, indexing="ij")
+    axes = np.meshgrid(*[np.arange(side)] * body.dim, indexing="ij")
     pts = offset + h * np.stack(axes, axis=-1).reshape(-1, body.dim)
     pts = np.vstack([pts, pts[::7] + h / 2])
     pair = dist_rows(body, pts[:, None, :], pts)
@@ -250,6 +248,25 @@ def test_greedy_select_near_threshold_matches_dist_rows_oracle(body, offset):
                 sub = pair[np.ix_(kept, kept)]
                 assert (sub[np.triu_indices(len(kept), 1)] > sep).all()
                 assert (pair[:, kept].min(axis=1) <= sep).all()
+
+
+NEAR_BODIES = [LinearL1(3, 1.0), MonotoneGrid(1, 3)]
+
+
+@pytest.mark.parametrize("body", NEAR_BODIES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("offset", [0.3, 1e4])
+def test_greedy_select_near_threshold_matches_dist_rows_oracle(body, offset):
+    _check_near_threshold_lattice(body, offset, side=4)
+
+
+@pytest.mark.parametrize("block", [7, 128])
+@pytest.mark.parametrize("body", NEAR_BODIES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("offset", [0.3, 1e4])
+def test_greedy_select_block_boundaries_match_dist_rows_oracle(body, offset, block, monkeypatch):
+    # 247 rows: several blocks, a partial last block, and conflicts stored
+    # only at (earlier row, later row) across blocks, walked from both ends
+    monkeypatch.setattr(packing, "SCREEN_BLOCK", block)
+    _check_near_threshold_lattice(body, offset, side=6)
 
 
 def _openblas_dynamic_arch() -> bool:
@@ -282,3 +299,16 @@ def test_greedy_packing_bytes_do_not_depend_on_blas_core():
     native = run_python(code, timeout=120)
     prescott = run_python(code, timeout=120, OPENBLAS_CORETYPE="Prescott")
     assert native == prescott
+
+
+def test_greedy_packing_bytes_are_pinned():
+    # the BLAS-core test's setup, in process: a change to the screen that
+    # moves any selection changes these bytes
+    body = LinearL1(64)
+    r = 0.5
+    ctr = body.point(0.5 * body.sample_rows(1, np.random.default_rng(0))[0])
+    h = hashlib.sha256()
+    for sep in (r / 22, r / 3):
+        h.update(greedy_max_packing(body, Ball(ctr, r), sep, pool_seed=0,
+                                    pool_size=1024).tobytes())
+    assert h.hexdigest() == "b7f686145b697f53564da0b3305d1ddf673bd7cbe9704009b0e76abe72e5aebd"
