@@ -42,7 +42,7 @@ from .harness import (
     run_experiment,
 )
 from .packing import exhaustive_max_packing, greedy_max_packing
-from .points import Ball, MetricPoint
+from .points import MetricPoint
 from .rates import (
     RateCertificate,
     certify_lower_bound,

@@ -303,7 +303,8 @@ class MonotoneGrid(ConvexBody):
         return proj.dykstra(X, projs)
 
     def contains_coords(self, x, tol=MEMBERSHIP_TOL):
-        return self._all_members(x[None, :], tol)
+        # NaN fails no comparison, so non-finite input is rejected up front
+        return bool(np.isfinite(x).all()) and self._all_members(x[None, :], tol)
 
     def _all_members(self, Y: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         """Whether every row of a (k, dim) batch lies in the body."""
@@ -322,22 +323,19 @@ class MonotoneGrid(ConvexBody):
         c /= c[:, -1:]
         return a[:, None] + (b - a)[:, None] * c
 
-    def _feasible_sweep(self, X: np.ndarray) -> np.ndarray:
+    def feasible_rows(self, X: np.ndarray) -> np.ndarray:
         """Cheap member-producing map: one isotonic pass per axis, then the
         box clip.  Isotonic regression and the clip are order-preserving, so
         each pass keeps the earlier axes monotone; the exact projection is
         only a guard against rounding.  Identity on members, so full support
         survives."""
+        X = np.asarray(X, dtype=np.float64)
         if self.m == 1 or self.p == 1:
             return self.project_rows(X)
-        Y = X
         for ax in range(self.p):
-            Y = self._axis_isotonic(Y, ax)
-        Y = np.clip(Y, 0.0, 1.0)
-        return Y if self._all_members(Y) else self.project_rows(Y)
-
-    def feasible_rows(self, X: np.ndarray) -> np.ndarray:
-        return self._feasible_sweep(np.asarray(X, dtype=np.float64))
+            X = self._axis_isotonic(X, ax)
+        X = np.clip(X, 0.0, 1.0)
+        return X if self._all_members(X) else self.project_rows(X)
 
     def sample_rows(self, count, rng):
         if self.p == 1:
@@ -357,7 +355,7 @@ class MonotoneGrid(ConvexBody):
                 rows.append((total / self.p).reshape(n_add, self.dim))
             n_raw = count - n_add
             if n_raw:
-                rows.append(self._feasible_sweep(rng.random((n_raw, self.dim))))
+                rows.append(self.feasible_rows(rng.random((n_raw, self.dim))))
             base = np.vstack(rows)
         # blend a fraction toward the constant-0/1 corners for extremal
         # coverage; convex combinations with members stay in the body
@@ -389,6 +387,7 @@ class HolderGrid(ConvexBody):
         self.metric_scale = self.m ** -0.5
         # rms <= gamma caps |f_j| at gamma * sqrt(m) on the grid
         self.sup_bound = self.gamma * np.sqrt(self.m)
+        self._lag_bounds = np.array([self.lag_bound(k) for k in range(1, self.m)])
         self._eig_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def diameter(self) -> float:
@@ -413,6 +412,16 @@ class HolderGrid(ConvexBody):
         """Allowed Euclidean norm of the lag-k difference vector."""
         return self.gamma * (k / self.m) ** self.alpha * np.sqrt(self.m)
 
+    def _lag_norms(self, X: np.ndarray) -> np.ndarray:
+        """Euclidean norms of each row's lag-1 to lag-(m-1) difference
+        vectors, a (rows, m-1) array.  Built one lag at a time: the stacked
+        (rows, m-1, m) differences would take rows * m^2 floats."""
+        idx = np.arange(self.m)
+        out = np.empty((len(X), self.m - 1))
+        for k in range(1, self.m):
+            out[:, k - 1] = np.linalg.norm(X[:, np.minimum(idx + k, self.m - 1)] - X, axis=1)
+        return out
+
     def project_rows(self, X):
         X = np.asarray(X, dtype=np.float64)
         norm_cap = self.gamma * np.sqrt(self.m)
@@ -434,13 +443,9 @@ class HolderGrid(ConvexBody):
         return proj.dykstra(X, projs)
 
     def contains_coords(self, x, tol=MEMBERSHIP_TOL):
-        if np.linalg.norm(x) > self.gamma * np.sqrt(self.m) + tol:
+        if not np.isfinite(x).all() or np.linalg.norm(x) > self.gamma * np.sqrt(self.m) + tol:
             return False
-        for k in range(1, self.m):
-            d = x[np.minimum(np.arange(self.m) + k, self.m - 1)] - x
-            if np.linalg.norm(d) > self.lag_bound(k) + tol:
-                return False
-        return True
+        return bool((self._lag_norms(x[None, :])[0] <= self._lag_bounds + tol).all())
 
     def feasible_rows(self, X: np.ndarray) -> np.ndarray:
         """Radial map into the body: every constraint is a homogeneous norm
@@ -448,9 +453,8 @@ class HolderGrid(ConvexBody):
         and the identity on members."""
         X = np.asarray(X, dtype=np.float64)
         t = self.gamma * np.sqrt(self.m) / np.maximum(np.linalg.norm(X, axis=1), 1e-300)
-        for k in range(1, self.m):
-            d = X[:, np.minimum(np.arange(self.m) + k, self.m - 1)] - X
-            t = np.minimum(t, self.lag_bound(k) / np.maximum(np.linalg.norm(d, axis=1), 1e-300))
+        lag_t = self._lag_bounds / np.maximum(self._lag_norms(X), 1e-300)
+        t = np.minimum(t, lag_t.min(axis=1, initial=np.inf))
         return X * np.minimum(t, 1.0)[:, None]
 
     def sample_rows(self, count, rng):
@@ -461,11 +465,10 @@ class HolderGrid(ConvexBody):
         mix = rng.random(count)[:, None]
         fluct = mix * g + (1.0 - mix) * walk
         fluct -= fluct.mean(axis=1, keepdims=True)
-        t = np.full(count, np.inf)
-        for k in range(1, self.m):
-            d = fluct[:, np.minimum(np.arange(self.m) + k, self.m - 1)] - fluct
-            t = np.minimum(t, self.lag_bound(k) / np.maximum(np.linalg.norm(d, axis=1), 1e-300))
-        fluct *= (t * rng.random(count))[:, None]
+        t = (self._lag_bounds / np.maximum(self._lag_norms(fluct), 1e-300)).min(
+            axis=1, initial=np.inf)
+        # one node has no lags (t = inf) and no fluctuation; inf * 0 is NaN
+        fluct *= (np.where(np.isinf(t), 0.0, t) * rng.random(count))[:, None]
         level = self.gamma * rng.uniform(-1.0, 1.0, size=count)
         rows = level[:, None] + fluct
         # blend a fraction toward the +/- gamma constants for extremal coverage

@@ -51,8 +51,6 @@ KEYS = {
     ("experiment", "replicates"): ("replicates", int),
     ("experiment", "master_seed"): ("master_seed", int),
     ("experiment", "condition_kind"): ("condition_kind", str),
-    ("experiment", "risk_eval"): ("risk_eval", str),
-    ("experiment", "fresh_m"): ("fresh_m", int),
     ("experiment", "stages"): ("stages", _auto_or(int, None)),
     ("experiment", "theory"): ("theory", str),
     ("experiment", "theory_s"): ("theory_params.s", int),

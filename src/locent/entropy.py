@@ -20,7 +20,7 @@ import numpy as np
 from .bodies import ConvexBody, dist_rows
 from .errors import GridMismatch, NonMonotoneProfile
 from .packing import exhaustive_max_packing, greedy_max_packing
-from .points import Ball, as_coords
+from .points import as_coords
 from .seeds import derive_seed
 
 
@@ -182,10 +182,9 @@ def local_entropy(
     for i, eps in enumerate(eps_grid):
         best = 1
         for row in centers:
-            pt = body.point(row)
             pseed = derive_seed(seed, "entropy-pool", float(eps), row)
             pack = greedy_max_packing(
-                body, Ball(pt, float(eps)), float(eps) / c, pseed, budget.pool_size
+                body, row, float(eps), float(eps) / c, pseed, budget.pool_size
             )
             best = max(best, len(pack))
             if best >= pool_ceiling(budget.pool_size):

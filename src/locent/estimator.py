@@ -27,7 +27,7 @@ from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
 from .entropy import EntropyProfile
 from .errors import DataDimensionMismatch, IdenticalHypotheses, ProfileTooCoarse
 from .packing import greedy_max_packing
-from .points import Ball, MetricPoint, as_coords
+from .points import MetricPoint, as_coords
 from .seeds import derive_seed
 
 LOG2 = float(np.log(2.0))
@@ -157,9 +157,6 @@ class RegressionData:
     @property
     def n(self) -> int:
         return len(self.y)
-
-    def check_body(self, body: ConvexBody):
-        body.check_design(self.x)
 
     def _stats(self):
         # sufficient statistics make the residual scan O(k dim^2) instead of
@@ -320,7 +317,7 @@ def run_algorithm1(
         raise ValueError("need at least one stage")
     if data.n < 1:
         raise ValueError("need at least one observation")
-    data.check_body(body)
+    body.check_design(data.x)
     d = body.diameter()
     C = constants.C
 
@@ -339,11 +336,7 @@ def run_algorithm1(
             pulled = pull_into_ball(body, truth_injection.coords[None, :], cur, radius)
             extras = np.vstack([extras, pulled])
         rows = greedy_max_packing(
-            body,
-            Ball(body.point(cur), radius),
-            separation,
-            pseed,
-            pool_budget.stage_size(k),
+            body, cur, radius, separation, pseed, pool_budget.stage_size(k),
             extra_candidates=extras,
         )
         rss = data.rss(rows)
@@ -467,7 +460,7 @@ def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
     u = g - f and s = f + g; a tie gives psi = 1 even when rounding puts the
     computed gap just below zero.
     """
-    data.check_body(body)
+    body.check_design(data.x)
     fc, gc = as_coords(f), as_coords(g)
     if dist(body, fc, gc) == 0.0:
         raise IdenticalHypotheses("test needs two distinct hypotheses")

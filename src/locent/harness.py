@@ -65,6 +65,10 @@ class TruthSpec:
     s: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "sampled", "sparse", "identity"):
+            raise ValueError(f"unknown truth kind {self.kind!r}")
+
 
 def make_truth(body: ConvexBody, spec: TruthSpec) -> MetricPoint:
     if spec.kind == "fixed":
@@ -86,14 +90,13 @@ def make_truth(body: ConvexBody, spec: TruthSpec) -> MetricPoint:
         beta = np.zeros(body.p)
         beta[support] = signs * mags * body.radius  # on the l1 sphere
         return body.point(beta)
-    if spec.kind == "identity":
-        if isinstance(body, MonotoneGrid):
-            nodes = body.node_positions()
-            return body.point(nodes.mean(axis=1))
-        # other kinds: the projection of the per-node identity profile
-        vals = np.linspace(0.0, 1.0, body.dim)
-        return body.project(vals)
-    raise ValueError(f"unknown truth kind {spec.kind!r}")
+    # identity
+    if isinstance(body, MonotoneGrid):
+        nodes = body.node_positions()
+        return body.point(nodes.mean(axis=1))
+    # other kinds: the projection of the per-node identity profile
+    vals = np.linspace(0.0, 1.0, body.dim)
+    return body.project(vals)
 
 
 def draw_data(
@@ -161,14 +164,14 @@ class ExperimentConfig:
     max_stages: int = 14
     pool: PoolBudget = PoolBudget()
     profile_budget: EntropyBudget = EntropyBudget(pool_size=192, centers=4)
-    risk_eval: str = "analytic"  # analytic | fresh_sample
-    fresh_m: int = 0  # 0 -> 10 * max(n_grid)
     master_seed: int = 20240601
     theory: str | None = None
     theory_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_body_params(self.body_kind, self.body_params)
+        if self.condition_kind not in ("auto", "bounded", "unbounded", "adaptive"):
+            raise ValueError(f"unknown condition kind {self.condition_kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates >= 1")
         if any(nxt <= prev for prev, nxt in zip(self.n_grid, self.n_grid[1:])):
@@ -303,21 +306,15 @@ class ExperimentResult:
 
 
 def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
-              body: ConvexBody, truth: MetricPoint, fresh_seed: int) -> float:
-    """One replicate; pure function of (config, n, rep)."""
+              body: ConvexBody, truth: MetricPoint) -> float:
+    """One replicate's squared L2(P_X) risk; pure function of (config, n, rep)."""
     seed = derive_seed(cfg.master_seed, "cell", n, rep)
     data = draw_data(body, cfg.design, cfg.noise, truth, n, seed)
     constants = constants_for(cfg, body)
     trace = run_algorithm1(
         body, data, constants, stages, cfg.pool, seed=derive_seed(seed, "run")
     )
-    fhat = trace.final
-    if cfg.risk_eval == "analytic":
-        return dist(body, fhat, truth) ** 2
-    m = cfg.fresh_m if cfg.fresh_m else 10 * max(cfg.n_grid)
-    rng = rng_for(fresh_seed, "fresh-eval", n)
-    diffs = body.evaluate(body.sample_design(m, cfg.design, rng), fhat - truth.coords)
-    return float(np.mean(diffs * diffs))
+    return dist(body, trace.final, truth) ** 2
 
 
 def _cell_or_nan(job: tuple) -> float:
@@ -348,7 +345,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     stages_used: dict = {}
     d2: dict = {}
     jobs = []
-    fresh_seed = derive_seed(cfg.master_seed, "fresh")
     for n in cfg.n_grid:
         body = body_for_n(cfg, n)
         truth = make_truth(body, cfg.truth)
@@ -364,8 +360,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             stages = sched.j_star
         stages_used[n] = stages
         d2[n] = body.diameter() ** 2
-        jobs += [(cfg, n, rep, stages, body, truth, fresh_seed)
-                 for rep in range(cfg.replicates)]
+        jobs += [(cfg, n, rep, stages, body, truth) for rep in range(cfg.replicates)]
         if formula is not None:
             theory_vals[n] = float(formula.risk(n))
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import ConvexBody, dist_rows, pull_into_ball
-from .errors import CapExceeded, EmptyPool, NonmemberCenter
-from .points import Ball, as_coords
+from .errors import CapExceeded, DimensionMismatch, EmptyPool, NonmemberCenter
+from .points import as_coords
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
@@ -76,18 +76,19 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
 
 def build_pool(
     body: ConvexBody,
-    ball: Ball,
+    center: np.ndarray,
+    radius: float,
     pool_seed: int,
     pool_size: int,
     extra_candidates: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Seeded candidate pool inside ball-and-class.
+    """Seeded candidate pool inside the ball B(center, radius) and the class.
 
-    Pool = projected ball center + sampled members contracted into the ball
+    Pool = projected center + sampled members contracted into the ball
     + local Gaussian proposals projected onto the body and contracted
     + optional structured extras (already members), contracted.
     """
-    center = body.project_rows(ball.center.coords[None, :])[0]
+    center = body.project_rows(center[None, :])[0]
     rng = rng_for(pool_seed, "pool")
     rows = [center[None, :]]
     if pool_size >= 1:
@@ -95,41 +96,50 @@ def build_pool(
         n_global = pool_size - n_local
         if n_global:
             rows.append(body.sample_rows(n_global, rng))
-        if n_local and ball.radius > 0:
+        if n_local and radius > 0:
             # proposals at the ball's own scale keep fine stages resolvable
-            coord_scale = ball.radius / body.metric_scale
+            coord_scale = radius / body.metric_scale
             g = rng.standard_normal((n_local, body.dim))
             spread = 0.3 + 1.2 * rng.random(n_local)
             raw = center[None, :] + g * (coord_scale * spread / np.sqrt(body.dim))[:, None]
             rows.append(body.feasible_rows(raw))
     if extra_candidates is not None and len(extra_candidates):
         rows.append(np.atleast_2d(np.asarray(extra_candidates, dtype=np.float64)))
-    return pull_into_ball(body, np.vstack(rows), center, ball.radius)
+    return pull_into_ball(body, np.vstack(rows), center, radius)
 
 
 def greedy_max_packing(
     body: ConvexBody,
-    ball: Ball,
+    center: np.ndarray,
+    radius: float,
     separation: float,
     pool_seed: int,
     pool_size: int,
     extra_candidates: np.ndarray | None = None,
     validate: bool = False,
 ) -> np.ndarray:
-    """Pool-maximal greedy packing of ball-and-class at strict separation.
+    """Pool-maximal greedy packing of B(center, radius) and the class at
+    strict separation; ``center`` is a member's coordinate row.
 
     Returns the centers as a ``(k, dim)`` array of pool rows in pool order,
-    selected by ``greedy_select``.  Deterministic given (body, ball,
-    separation, pool_seed, pool_size, extras).  The first center is the ball
-    center projected into the class.
+    selected by ``greedy_select``.  Deterministic given (body, center,
+    radius, separation, pool_seed, pool_size, extras).  The first center is
+    the ball center projected into the class.
     """
+    center = np.asarray(center, dtype=np.float64)
+    if center.shape != (body.dim,):
+        raise DimensionMismatch(f"expected dim {body.dim}, got {center.shape}")
+    if not np.isfinite(center).all():
+        raise ValueError("ball center must be finite")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be nonnegative and finite")
     if not 0 < separation < np.inf:
         raise ValueError("separation must be positive and finite")
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    if not body.contains(ball.center):
+    if not body.contains_coords(center):
         raise NonmemberCenter("ball center fails class membership")
-    pool = build_pool(body, ball, pool_seed, pool_size, extra_candidates)
+    pool = build_pool(body, center, radius, pool_seed, pool_size, extra_candidates)
     if validate:
         # contraction of members toward a member stays in the convex body,
         # so this only guards against numerical surprises

@@ -1,4 +1,4 @@
-"""Metric points and balls in the L2(P_X) geometry.
+"""Metric points in the L2(P_X) geometry.
 
 Every class body in this package represents members by a finite coordinate
 vector (parameters for linear classes, grid values for function classes) and
@@ -33,18 +33,6 @@ class MetricPoint:
     @property
     def dim(self) -> int:
         return self.coords.shape[0]
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed metric ball B(center, radius) in L2(P_X) units."""
-
-    center: MetricPoint
-    radius: float
-
-    def __post_init__(self):
-        if not 0 <= self.radius < np.inf:
-            raise ValueError("radius must be nonnegative and finite")
 
 
 def as_coords(point) -> np.ndarray:

@@ -35,7 +35,6 @@ from locent.harness import (
     run_experiment,
 )
 from locent.packing import exhaustive_max_packing, greedy_max_packing, greedy_select
-from locent.points import Ball
 from locent.rates import kolmogorov_index, solve_eps_star
 from locent.widths import (
     Box,
@@ -76,11 +75,11 @@ def test_acceptance_01_packing_validity():
         rng = np.random.default_rng(len(body.kind))
         d = body.diameter()
         for trial in range(count):
-            center = body.point(body.sample_rows(1, rng)[0])
+            center = body.sample_rows(1, rng)[0]
             radius = float(rng.uniform(0.15, 1.1)) * d
             sep = float(rng.uniform(0.05, 0.5)) * radius
             # validate=True asserts strict separation and pool-maximality
-            greedy_max_packing(body, Ball(center, radius), sep,
+            greedy_max_packing(body, center, radius, sep,
                                pool_seed=trial, pool_size=16, validate=True)
             calls += 1
     assert calls == 1000

@@ -205,11 +205,30 @@ def test_secular_solver_matches_bisection_and_kkt():
 # -- samplers ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("body", ALL_BODIES, ids=IDS)
+@pytest.mark.parametrize("body", ALL_BODIES + [HolderGrid(1.0, 1.0, 1)],
+                         ids=IDS + ["holder_grid-1"])
 def test_samples_are_members(body):
     rng = np.random.default_rng(4)
     rows = body.sample_rows(1000, rng)
+    assert np.isfinite(rows).all()
     assert all(body.contains_coords(r, 1e-9) for r in rows)
+
+
+@pytest.mark.parametrize("body", [
+    LinearL1(3, 1.0),
+    LinearEllipsoid([0.25, 1.0]),
+    MonotoneGrid(1, 4),
+    MonotoneGrid(2, 3),
+    HolderGrid(1.0, 1.0, 4),
+    HolderGrid(1.0, 1.0, 1),
+], ids=lambda b: b.kind + "-" + str(b.dim))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_coords_are_not_members(body, value):
+    assert not body.contains_coords(np.full(body.dim, value))
+    member = body.extreme_points()[0].copy()
+    assert body.contains_coords(member)
+    member[-1] = value
+    assert not body.contains_coords(member)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (2, 16), (3, 4), (4, 3)])
@@ -279,18 +298,25 @@ def test_design_tau_defaults():
     assert np.isclose(DesignDistribution("uniform_cube").tau, np.sqrt(3.0))
 
 
-def test_isometry_parameter_vs_function_distance():
-    # sqrt(mean (X^T delta)^2) matches ||delta||_2 within 3 standard errors
-    body = LinearL1(6, 1.0)
+ISOMETRY_CASES = [
+    (body, design)
+    for body in (LinearL1(6, 1.0), LinearEllipsoid.sobolev(6))
+    for design in ("gaussian", "rademacher", "uniform_cube")
+] + [(MonotoneGrid(2, 3), "gaussian"), (HolderGrid(0.6, 1.0, 8), "gaussian")]
+
+
+@pytest.mark.parametrize("body, design", ISOMETRY_CASES,
+                         ids=[f"{b.kind}-{d}" for b, d in ISOMETRY_CASES])
+def test_isometry_parameter_vs_function_distance(body, design):
+    # dist^2 is the population risk: the mean of (f - g)(X)^2 over draws from
+    # P_X matches it within 4 standard errors
     rng = np.random.default_rng(7)
-    design = DesignDistribution("gaussian")
-    X = design.sample(100_000, 6, rng)
+    X = body.sample_design(100_000, DesignDistribution(design), rng)
     for _ in range(4):
-        d = body.sample_rows(1, rng)[0] - body.sample_rows(1, rng)[0]
-        z2 = (X @ d) ** 2
-        emp = z2.mean()
-        se = z2.std(ddof=1) / np.sqrt(len(X))
-        assert abs(emp - d @ d) < 3 * se
+        f, g = body.sample_rows(1, rng)[0], body.sample_rows(1, rng)[0]
+        z2 = body.evaluate(X, f - g) ** 2
+        se = z2.std(ddof=1) / np.sqrt(len(z2))
+        assert abs(z2.mean() - dist(body, f, g) ** 2) < 4 * se
 
 
 # -- moment ratios -----------------------------------------------------------

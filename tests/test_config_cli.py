@@ -134,6 +134,16 @@ def test_missing_class_keys_fail_at_load(text, missing):
         load_config_text("[class]\n" + text)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("[experiment]\ncondition_kind = bonded\n", "bonded"),
+    ("[truth]\nkind = identiy\n", "identiy"),
+], ids=["condition_kind", "truth-kind"])
+def test_unknown_kind_values_fail_at_load(text, value):
+    # a misspelled kind used to load and run as a different setting
+    with pytest.raises(ValueError, match=f"unknown .* '{value}'"):
+        load_config_text(text)
+
+
 def test_sparse_theory_needs_its_keys():
     with pytest.raises(ValueError, match="theory_s"):
         load_config_text("[experiment]\ntheory = sparse_l1\ntheory_p = 8\n")
@@ -168,8 +178,6 @@ PROBES = {
     ("experiment", "replicates"): ("3", {}),
     ("experiment", "master_seed"): ("1", {}),
     ("experiment", "condition_kind"): ("adaptive", {}),
-    ("experiment", "risk_eval"): ("fresh_sample", {}),
-    ("experiment", "fresh_m"): ("100", {}),
     ("experiment", "stages"): ("5", {}),
     ("experiment", "theory"): ("holder", {}),
     ("experiment", "theory_s"): ("3", {"theory": "sparse_l1", "theory_s": "2", "theory_p": "8"}),

@@ -19,7 +19,6 @@ from locent.entropy import (
 )
 from locent.errors import GridMismatch, NonMonotoneProfile
 from locent.packing import exhaustive_max_packing, greedy_max_packing
-from locent.points import Ball
 from locent.seeds import derive_seed
 from locent.widths import sparse_cone_width_bound
 
@@ -236,8 +235,8 @@ def full_scan(body, grid, c, budget, center, seed):
         sizes = [1]
         for row in centers:
             pseed = derive_seed(seed, "entropy-pool", float(eps), row)
-            ball = Ball(body.point(row), float(eps))
-            sizes.append(len(greedy_max_packing(body, ball, eps / c, pseed, budget.pool_size)))
+            sizes.append(len(greedy_max_packing(body, row, float(eps), eps / c, pseed,
+                                                budget.pool_size)))
         best.append(max(sizes))
     return np.array(best), len(centers)
 

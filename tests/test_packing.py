@@ -16,7 +16,6 @@ from locent.packing import (
     greedy_max_packing,
     greedy_select,
 )
-from locent.points import Ball
 from locent.seeds import rng_for
 
 from conftest import UnitBox, brute_force_max_packing, sweep_max_separated_1d
@@ -25,24 +24,20 @@ INTERVAL = MonotoneGrid(1, 1)  # the interval [0, 1] as a 1-D class body
 SRC = str(Path(locent.__file__).resolve().parents[1])
 
 
-def interval_pt(x):
-    return INTERVAL.point([x])
-
-
 def test_greedy_interval_sep_half_two_centers():
     # exhaustive search over a 1001-point grid: max strict-0.5-separated
     # subset of [0,1] has size 2
     grid = np.linspace(0.0, 1.0, 1001)
     assert sweep_max_separated_1d(grid, 0.5) == 2
     pack = greedy_max_packing(
-        INTERVAL, Ball(interval_pt(0.0), 1.0), 0.5, pool_seed=3, pool_size=128, validate=True
+        INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3, pool_size=128, validate=True
     )
     assert len(pack) == 2
     assert sorted(c[0] for c in pack) == [0.0, 1.0]
 
 
 def test_greedy_separation_at_least_diameter_single_center():
-    pack = greedy_max_packing(INTERVAL, Ball(interval_pt(0.0), 1.0), 1.0, pool_seed=3, pool_size=64)
+    pack = greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 1.0, pool_seed=3, pool_size=64)
     assert len(pack) == 1
     assert pack[0][0] == 0.0
 
@@ -51,7 +46,8 @@ def test_greedy_unit_square_from_corner():
     sq = UnitBox(2)
     pack = greedy_max_packing(
         sq,
-        Ball(sq.point([0.0, 0.0]), np.sqrt(2.0)),
+        np.zeros(2),
+        np.sqrt(2.0),
         1.0,
         pool_seed=5,
         pool_size=128,
@@ -65,27 +61,29 @@ def test_greedy_unit_square_from_corner():
 
 def test_greedy_rejects_nonmember_center():
     with pytest.raises(NonmemberCenter):
-        greedy_max_packing(INTERVAL, Ball(INTERVAL.point([2.0]), 1.0), 0.5, 0, 8)
+        greedy_max_packing(INTERVAL, np.array([2.0]), 1.0, 0.5, 0, 8)
 
 
-@pytest.mark.parametrize("radius, separation, extra", [
-    (1.0, np.nan, None),  # never returned: NaN passed the old positivity check
-    (np.inf, 0.25, None),  # never returned
-    (np.nan, 0.25, None),  # returned 8 centers from a ball of no radius
-    (1.0, 0.25, [[np.nan, 0.0, 0.0, 0.0]]),  # a NaN candidate kept argmax looping
-], ids=["nan-separation", "inf-radius", "nan-radius", "nan-extra"])
-def test_greedy_rejects_nonfinite_input(radius, separation, extra):
+@pytest.mark.parametrize("center, radius, separation, extra", [
+    (0.0, 1.0, np.nan, None),  # never returned: NaN passed the old positivity check
+    (0.0, np.inf, 0.25, None),  # never returned
+    (0.0, np.nan, 0.25, None),  # returned 8 centers from a ball of no radius
+    (0.0, -1.0, 0.25, None),
+    (np.nan, 1.0, 0.25, None),  # a NaN center passes the comparisons of membership
+    (0.0, 1.0, 0.25, [[np.nan, 0.0, 0.0, 0.0]]),  # a NaN candidate kept argmax looping
+], ids=["nan-separation", "inf-radius", "nan-radius", "negative-radius", "nan-center",
+        "nan-extra"])
+def test_greedy_rejects_nonfinite_input(center, radius, separation, extra):
     body = LinearL1(4)
     with pytest.raises(ValueError):
-        greedy_max_packing(body, Ball(body.point(np.zeros(4)), radius), separation, 0, 16,
+        greedy_max_packing(body, np.full(4, center), radius, separation, 0, 16,
                            extra_candidates=None if extra is None else np.array(extra))
 
 
 def test_greedy_deterministic_bit_identical():
     body = LinearL1(6, 1.0)
-    ball = Ball(body.point(np.zeros(6)), 1.5)
-    a = greedy_max_packing(body, ball, 0.3, pool_seed=11, pool_size=64)
-    b = greedy_max_packing(body, ball, 0.3, pool_seed=11, pool_size=64)
+    a = greedy_max_packing(body, np.zeros(6), 1.5, 0.3, pool_seed=11, pool_size=64)
+    b = greedy_max_packing(body, np.zeros(6), 1.5, 0.3, pool_seed=11, pool_size=64)
     assert len(a) == len(b)
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
@@ -108,11 +106,12 @@ def test_exhaustive_rejects_empty_candidates():
 def test_validate_raises_on_non_maximal_selection(monkeypatch):
     # keeping only the first center leaves the far end of [0, 1] uncovered
     monkeypatch.setattr(packing, "greedy_select", lambda body, pts, sep, start: [start])
-    ball = Ball(interval_pt(0.0), 1.0)
     with pytest.raises(RuntimeError, match="not maximal"):
-        greedy_max_packing(INTERVAL, ball, 0.5, pool_seed=3, pool_size=128, validate=True)
+        greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3, pool_size=128,
+                           validate=True)
     # without validation the broken selection goes through unchecked
-    assert len(greedy_max_packing(INTERVAL, ball, 0.5, pool_seed=3, pool_size=128)) == 1
+    assert len(greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3,
+                                  pool_size=128)) == 1
 
 
 def test_exhaustive_cap():
@@ -177,11 +176,11 @@ def test_packing_invariants_randomized(body):
     rng = rng_for(0, "packing-invariants", body.tag)
     d = body.diameter()
     for trial in range(12):
-        center = body.point(body.sample_rows(1, rng)[0])
+        center = body.sample_rows(1, rng)[0]
         radius = float(rng.uniform(0.2, 1.2)) * d
         sep = float(rng.uniform(0.05, 0.5)) * radius
         pack = greedy_max_packing(
-            body, Ball(center, radius), sep, pool_seed=trial, pool_size=24, validate=True
+            body, center, radius, sep, pool_seed=trial, pool_size=24, validate=True
         )
         pts = pack
         # strict separation, membership, and ball containment
@@ -208,11 +207,9 @@ def test_greedy_far_offset_ball_returns():
         "import numpy as np\n"
         "from locent.bodies import LinearL1\n"
         "from locent.packing import greedy_max_packing\n"
-        "from locent.points import Ball\n"
         "body = LinearL1(8, 1e5)\n"
-        "ball = Ball(body.point(np.full(8, 1e4)), 2e-3)\n"
-        "print(len(greedy_max_packing(body, ball, 5e-4, pool_seed=1, pool_size=256,"
-        " validate=True)))\n"
+        "print(len(greedy_max_packing(body, np.full(8, 1e4), 2e-3, 5e-4, pool_seed=1,"
+        " pool_size=256, validate=True)))\n"
     )
     assert int(run_python(code, timeout=60)) >= 1
 
@@ -286,13 +283,12 @@ def test_greedy_packing_bytes_do_not_depend_on_blas_core():
         "import numpy as np\n"
         "from locent.bodies import LinearL1\n"
         "from locent.packing import greedy_max_packing\n"
-        "from locent.points import Ball\n"
         "body = LinearL1(64)\n"
         "r = 0.5\n"
-        "ctr = body.point(0.5 * body.sample_rows(1, np.random.default_rng(0))[0])\n"
+        "ctr = 0.5 * body.sample_rows(1, np.random.default_rng(0))[0]\n"
         "h = hashlib.sha256()\n"
         "for sep in (r / 22, r / 3):\n"
-        "    h.update(greedy_max_packing(body, Ball(ctr, r), sep, pool_seed=0,"
+        "    h.update(greedy_max_packing(body, ctr, r, sep, pool_seed=0,"
         " pool_size=1024).tobytes())\n"
         "print(h.hexdigest())\n"
     )
@@ -306,9 +302,9 @@ def test_greedy_packing_bytes_are_pinned():
     # moves any selection changes these bytes
     body = LinearL1(64)
     r = 0.5
-    ctr = body.point(0.5 * body.sample_rows(1, np.random.default_rng(0))[0])
+    ctr = 0.5 * body.sample_rows(1, np.random.default_rng(0))[0]
     h = hashlib.sha256()
     for sep in (r / 22, r / 3):
-        h.update(greedy_max_packing(body, Ball(ctr, r), sep, pool_seed=0,
+        h.update(greedy_max_packing(body, ctr, r, sep, pool_seed=0,
                                     pool_size=1024).tobytes())
     assert h.hexdigest() == "b7f686145b697f53564da0b3305d1ddf673bd7cbe9704009b0e76abe72e5aebd"
