@@ -4,9 +4,10 @@ Subcommands: entropy, eps-star, certify-lower, estimate, experiment, widths,
 check-concentration, check-test, moment-check.  Global flags: --config,
 --seed (overrides the config master seed), --out, --threads.  Outputs are
 plain CSV/JSON files with deterministic content for fixed config and seed.
-entropy, eps-star and estimate read the schedule profile that a sweep builds
-at the given n; so does certify-lower, except that on adaptive configs it
-reads a global profile.
+estimate reads the schedule profile that a sweep builds at the given n: the
+points its schedule can read.  entropy, eps-star and certify-lower read the
+same profile on the whole ladder; on adaptive configs certify-lower reads a
+global one.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def cmd_estimate(args):
         stages = cfg.stages
     else:
         kind = resolve_condition_kind(cfg, body)
-        prof = schedule_profile(cfg, body, constants, kind)
+        prof = schedule_profile(cfg, body, constants, kind, n)
         stages = stage_schedule(prof, n, constants, kind, body.diameter(),
                                 max_stages=cfg.max_stages).j_star
     trace = run_algorithm1(body, data, constants, stages, cfg.pool,

@@ -79,8 +79,8 @@ class EntropyProfile:
 
         Power-law (log-log-linear) interpolation between grid points, which is
         exact for profiles of the form A * eps^(-q); constant extension past
-        either end of the grid.  Segments touching log_m = 0 fall back to
-        interpolation linear in (log eps, log_m).
+        either end of the grid.  A grid point gives its own log_m.  Segments
+        touching log_m = 0 fall back to interpolation linear in (log eps, log_m).
         """
         e = self.eps
         y = self.log_m
@@ -89,6 +89,8 @@ class EntropyProfile:
         if eps >= e[-1]:
             return float(y[-1])
         j = int(np.searchsorted(e, eps, side="right")) - 1
+        if e[j] == eps:
+            return float(y[j])
         t0, t1, t = np.log(e[j]), np.log(e[j + 1]), np.log(eps)
         w = (t - t0) / (t1 - t0)
         y0, y1 = y[j], y[j + 1]

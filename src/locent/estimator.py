@@ -384,6 +384,37 @@ class StageSchedule:
             raise ValueError("J* must be at least 1")
 
 
+def stage_eps(J: int, constants: RateConstants, diameter: float) -> float:
+    """eps_J = d sqrt(L) / (2^(J-2) c), the radius of stage J's condition."""
+    return float(diameter) * np.sqrt(constants.L) / (2.0 ** (J - 2) * constants.c)
+
+
+def entropy_arg(J: int, diameter: float, kind: str) -> float:
+    """Profile argument stage J reads: d / 2^(J-2) = eps_J c / sqrt(L), twice
+    that for the adaptive condition; exactly a point of the ladder d 2^(2-j)."""
+    base = float(diameter) * 2.0 ** (2 - J)
+    return 2.0 * base if kind == "adaptive" else base
+
+
+def _above_floor(n: int, eps: float) -> bool:
+    return n * eps * eps > LOG2
+
+
+def schedule_depth(n: int, constants: RateConstants, diameter: float,
+                   max_stages: int = 200) -> int:
+    """Deepest J whose stage condition can hold at n: the largest J <=
+    max_stages with n eps_J^2 > log 2, or 1 when even J = 1 fails.
+
+    Past it the condition fails by its log-2 floor whatever the profile says,
+    so :func:`stage_schedule` reads the profile only at the arguments of
+    J = 1 .. depth, and a smaller n never reaches deeper.
+    """
+    J = 1
+    while J < max_stages and _above_floor(n, stage_eps(J + 1, constants, diameter)):
+        J += 1
+    return J
+
+
 def stage_schedule(
     profile: EntropyProfile,
     n: int,
@@ -396,44 +427,32 @@ def stage_schedule(
 
     kind "bounded"/"unbounded" reads a global profile at arg = d / 2^(J-2)
     (equal to eps_J c / sqrt(L)); kind "adaptive" reads an adaptive profile
-    with constant 2c at arg = 2 eps_J c / sqrt(L).  J* = 1 when even J = 1
+    with constant 2c at arg = 2 d / 2^(J-2).  J* = 1 when even J = 1
     fails.  Profile values are interpolated; an argument below half the
     smallest grid eps raises ProfileTooCoarse.
     """
     if kind not in ("bounded", "unbounded", "adaptive"):
         raise ValueError(f"unknown condition kind {kind!r}")
-    L = constants.L
-    c = constants.c
-    d = float(diameter)
-    sqrtL = np.sqrt(L)
-
-    def eps_at(J: int) -> float:
-        return d * sqrtL / (2.0 ** (J - 2) * c)
-
-    def entropy_arg(J: int) -> float:
-        base = eps_at(J) * c / sqrtL  # = d / 2^(J-2)
-        return 2.0 * base if kind == "adaptive" else base
 
     def holds(J: int) -> bool:
-        arg = entropy_arg(J)
+        arg = entropy_arg(J, diameter, kind)
         if arg < profile.eps[0] / 2.0:
             raise ProfileTooCoarse(
                 f"entropy argument {arg} below half the smallest grid eps {profile.eps[0]}"
             )
-        eps = eps_at(J)
-        return n * eps * eps > max(2.0 * profile.value(arg), LOG2)
+        eps = stage_eps(J, constants, diameter)
+        return _above_floor(n, eps) and n * eps * eps > 2.0 * profile.value(arg)
 
     j_star = 1
-    eps_list = [eps_at(1)]
     if holds(1):
         for J in range(2, max_stages + 1):
             if not holds(J):
                 break
             j_star = J
-            eps_list.append(eps_at(J))
         else:
             j_star = max_stages
-    return StageSchedule(eps_j=np.array(eps_list[:j_star]), j_star=j_star)
+    eps_j = [stage_eps(J, constants, diameter) for J in range(1, j_star + 1)]
+    return StageSchedule(eps_j=np.array(eps_j), j_star=j_star)
 
 
 # ---------------------------------------------------------------------------

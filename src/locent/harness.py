@@ -42,7 +42,9 @@ from .estimator import (
     RateConstants,
     RegressionData,
     _psi_from_gap,
+    entropy_arg,
     run_algorithm1,
+    schedule_depth,
     stage_schedule,
 )
 from .points import MetricPoint, as_coords
@@ -172,6 +174,8 @@ class ExperimentConfig:
         check_body_params(self.body_kind, self.body_params)
         if self.condition_kind not in ("auto", "bounded", "unbounded", "adaptive"):
             raise ValueError(f"unknown condition kind {self.condition_kind!r}")
+        if self.theory not in (None, "sparse_l1", "monotone", "holder", "ellipsoid"):
+            raise ValueError(f"unknown theory {self.theory!r}")
         if self.replicates < 1:
             raise ValueError("replicates >= 1")
         if any(nxt <= prev for prev, nxt in zip(self.n_grid, self.n_grid[1:])):
@@ -226,16 +230,31 @@ def resolve_condition_kind(cfg: ExperimentConfig, body: ConvexBody) -> str:
     return "bounded" if body.sup_bound is not None else "unbounded"
 
 
-def schedule_grid(cfg: ExperimentConfig, body: ConvexBody) -> list[float]:
-    """Ascending eps grid the schedule reads: the ladder d * 2^(2-j), so its
-    arguments d/2^(J-2) (twice that for the adaptive condition) are grid points."""
+def schedule_grid(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
+                  kind: str, n: int | None = None) -> list[float]:
+    """Ascending eps grid on the ladder d * 2^(2-j), whose points include the
+    schedule's arguments d/2^(J-2) (twice that for the adaptive condition).
+
+    With n: only the arguments of J = 1 .. :func:`schedule_depth` at n, which
+    are all the points the schedule at n, or at any smaller n, can read.
+    Without n: the whole ladder j = 0 .. max_stages + 2, which the eps*
+    crossing, the monotonization and the lower bound read past the schedule.
+    """
     d = body.diameter()
-    return sorted(e for e in (d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3)) if e > 0)
+    if n is None:
+        ladder = (d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3))
+    else:
+        depth = schedule_depth(n, constants, d, cfg.max_stages)
+        ladder = (entropy_arg(J, d, kind) for J in range(1, depth + 1))
+    return sorted(e for e in ladder if e > 0)
 
 
 def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
-                     kind: str) -> EntropyProfile:
-    """Greedy entropy profile on :func:`schedule_grid`."""
+                     kind: str, n: int | None = None) -> EntropyProfile:
+    """Greedy entropy profile on :func:`schedule_grid`: the schedule's prefix
+    for sample sizes up to n, or the whole ladder when n is None.  Each grid
+    point is computed on its own, so the prefix holds the ladder's values."""
+    grid = schedule_grid(cfg, body, constants, kind, n)
     seed = derive_seed(cfg.master_seed, "profile", kind, body.tag)
     if kind == "adaptive":
         # the schedule's infimum over centers is approximated by the
@@ -243,10 +262,10 @@ def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateCon
         ext = body.extreme_points()
         center = ext[0] if len(ext) else body.project(np.zeros(body.dim)).coords
         return local_entropy(
-            body, schedule_grid(cfg, body), 2.0 * constants.c, mode="adaptive", center=center,
+            body, grid, 2.0 * constants.c, mode="adaptive", center=center,
             budget=cfg.profile_budget, seed=seed,
         )
-    return local_entropy(body, schedule_grid(cfg, body), constants.c, mode="global",
+    return local_entropy(body, grid, constants.c, mode="global",
                          budget=cfg.profile_budget, seed=seed)
 
 
@@ -332,6 +351,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     stage schedule off the entropy profile.  The profile is built once per
     distinct body: its constants, kind and seed are functions of the body
     within a sweep, so a fixed-size body shares one profile across every n.
+    It holds only the points the schedule can read at the largest n sharing
+    the body, which serve every smaller n too.
     Then all replicates of all n run, serially or on one pool of
     ``threads`` processes; a failed replicate is recorded as NaN without
     aborting the sweep, and the outputs do not depend on ``threads``.
@@ -341,12 +362,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if cfg.theory:
         formula = theoretical_rate(cfg.theory, **cfg.theory_params)
 
+    bodies = {n: body_for_n(cfg, n) for n in cfg.n_grid}
+    last_n = {body.tag: n for n, body in bodies.items()}  # n_grid ascends
     profiles: dict = {}  # body.tag -> schedule profile
     stages_used: dict = {}
     d2: dict = {}
     jobs = []
-    for n in cfg.n_grid:
-        body = body_for_n(cfg, n)
+    for n, body in bodies.items():
         truth = make_truth(body, cfg.truth)
         constants = constants_for(cfg, body)
         kind = resolve_condition_kind(cfg, body)
@@ -354,7 +376,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             stages = cfg.stages
         else:
             if body.tag not in profiles:
-                profiles[body.tag] = schedule_profile(cfg, body, constants, kind)
+                profiles[body.tag] = schedule_profile(cfg, body, constants, kind,
+                                                      last_n[body.tag])
             sched = stage_schedule(profiles[body.tag], n, constants, kind, body.diameter(),
                                    max_stages=cfg.max_stages)
             stages = sched.j_star

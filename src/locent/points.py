@@ -22,7 +22,7 @@ class MetricPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
+        coords = np.array(self.coords, dtype=np.float64)  # a private copy to freeze
         if coords.ndim != 1:
             raise DimensionMismatch("coords must be a 1-D vector")
         if not np.all(np.isfinite(coords)):

@@ -30,6 +30,16 @@ IDS = [b.kind + "-" + str(b.dim) for b in ALL_BODIES]
 # -- distances ---------------------------------------------------------------
 
 
+def test_point_freezes_a_private_copy():
+    # the caller's array stays writable, and the point does not follow it
+    x = np.zeros(3)
+    pt = LinearL1(3).point(x)
+    x[0] = 1.0
+    assert pt.coords[0] == 0.0
+    with pytest.raises(ValueError):
+        pt.coords[0] = 2.0
+
+
 def test_dist_examples():
     l1 = LinearL1(2, 1.0)
     assert np.isclose(dist(l1, [1.0, 0.0], [0.0, 1.0]), np.sqrt(2.0))

@@ -15,6 +15,7 @@ from locent.bodies import make_body
 from locent import cli
 from locent.cli import main
 from locent.config import KEYS, load_config_text
+from locent.entropy import EntropyProfile
 
 MONOTONE_INI = """
 [class]
@@ -137,7 +138,8 @@ def test_missing_class_keys_fail_at_load(text, missing):
 @pytest.mark.parametrize("text, value", [
     ("[experiment]\ncondition_kind = bonded\n", "bonded"),
     ("[truth]\nkind = identiy\n", "identiy"),
-], ids=["condition_kind", "truth-kind"])
+    ("[experiment]\ntheory = monotonee\n", "monotonee"),
+], ids=["condition_kind", "truth-kind", "theory"])
 def test_unknown_kind_values_fail_at_load(text, value):
     # a misspelled kind used to load and run as a different setting
     with pytest.raises(ValueError, match=f"unknown .* '{value}'"):
@@ -275,7 +277,8 @@ def test_cli_entropy_eps_star_estimate(cfg_path, tmp_path):
 
 
 def test_cli_reads_the_sweep_schedule_profile(cfg_path, tmp_path, monkeypatch):
-    # entropy, eps-star and estimate build the profile a one-n sweep builds
+    # estimate builds the prefix profile a one-n sweep builds; entropy and
+    # eps-star build the whole ladder, with the same values at the prefix's eps
     cfg = dataclasses.replace(load_config_text(MONOTONE_INI), n_grid=(64,), replicates=2)
     built = []
     build = harness.schedule_profile
@@ -289,10 +292,16 @@ def test_cli_reads_the_sweep_schedule_profile(cfg_path, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "schedule_profile", record)
     harness.run_experiment(cfg)
     out = str(tmp_path / "p")
-    for command in ("entropy", "eps-star", "estimate"):
+    for command in ("estimate", "entropy", "eps-star"):
         main(["--config", cfg_path, "--out", out, command, "--n", "64"])
-    assert len(built) == 4 and len(set(built)) == 1
-    assert open(os.path.join(out, "entropy.csv")).read() == built[0]
+    assert len(built) == 4
+    sweep, estimate, ladder, eps_star = built
+    assert estimate == sweep and eps_star == ladder
+    assert open(os.path.join(out, "entropy.csv")).read() == ladder
+    prefix, full = EntropyProfile.from_csv(sweep), EntropyProfile.from_csv(ladder)
+    keep = np.isin(full.eps, prefix.eps)
+    assert 0 < keep.sum() == len(prefix.eps) < len(full.eps)
+    assert np.array_equal(full.log_m[keep], prefix.log_m)
 
 
 def test_import_loads_no_scipy():

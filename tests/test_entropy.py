@@ -134,6 +134,13 @@ def test_value_interpolation_exact_on_power_laws():
             assert np.isclose(prof.value(e), e ** -q, rtol=1e-12)
 
 
+def test_value_at_a_grid_point_is_its_log_count():
+    # interior points used to come back as exp(log(y)), 1 ulp off log 16
+    prof = EntropyProfile(c=2.0, kind="global", eps=[0.125, 0.25, 0.5, 1.0, 2.0],
+                          log_m=np.log([64.0, 16.0, 16.0, 3.0, 1.0]))
+    assert [prof.value(e) for e in prof.eps] == list(prof.log_m)
+
+
 def test_sandwich_exact_interval():
     cands = interval_candidates()
     c = 2.0

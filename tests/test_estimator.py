@@ -21,10 +21,12 @@ from locent.estimator import (
     PoolBudget,
     RateConstants,
     RegressionData,
+    entropy_arg,
     exponent_constant_bounded,
     exponent_constant_unbounded,
     pairwise_test_psi,
     run_algorithm1,
+    schedule_depth,
     stage_schedule,
     structured_candidates,
 )
@@ -377,6 +379,39 @@ def test_schedule_profile_too_coarse():
                           log_m=np.array([1.0, 1.0]), exact=True)
     with pytest.raises(ProfileTooCoarse):
         stage_schedule(prof, 10_000_000, consts, "bounded", 1.0, max_stages=60)
+
+
+@pytest.mark.parametrize("max_stages", [6, 14])
+@pytest.mark.parametrize("kind", ["bounded", "unbounded", "adaptive"])
+def test_schedule_prefix_gives_the_ladder_j_star(kind, max_stages):
+    # the profile on the arguments of J = 1 .. schedule_depth(n) alone gives
+    # the j_star of the whole ladder d 2^(2-j), j = 0 .. max_stages + 2
+    consts = RateConstants(C=4.0, L_paper=1.0)
+    d = 1.0
+    c = 2.0 * consts.c if kind == "adaptive" else consts.c
+    ladder = np.array(sorted(d * 2.0 ** (2 - j) for j in range(max_stages + 3)))
+    log_m = np.log(np.ceil(3.0 * (4.0 * d / ladder) ** 0.7))
+    full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m)
+    seen = set()
+    for n in np.unique(np.geomspace(1, 1e11, 400).astype(int)):
+        depth = schedule_depth(n, consts, d, max_stages)
+        keep = np.isin(ladder, [entropy_arg(J, d, kind) for J in range(1, depth + 1)])
+        assert keep.sum() == depth
+        prefix = EntropyProfile(c=c, kind=kind, eps=ladder[keep], log_m=log_m[keep])
+        j_star = stage_schedule(full, n, consts, kind, d, max_stages=max_stages).j_star
+        assert stage_schedule(prefix, n, consts, kind, d, max_stages=max_stages).j_star == j_star
+        assert j_star <= depth
+        seen.add((depth, j_star))
+    assert (1, 1) in seen  # J = 1 fails the log-2 floor: a one-point profile
+    assert (max_stages, max_stages) in seen  # the cap binds
+    assert any(1 < j_star < depth for depth, j_star in seen)  # the entropy binds
+
+
+def test_schedule_depth_is_the_log2_floor():
+    consts = RateConstants(C=4.0, L_paper=1.0)
+    # eps_J = 0.2 / 2^(J-1) for d = 1, so n eps_J^2 > log 2 iff n > 25 log 2 4^(J-1)
+    for n, depth in [(1, 1), (69, 1), (70, 2), (277, 2), (278, 3), (1e12, 14)]:
+        assert schedule_depth(n, consts, 1.0, max_stages=14) == depth
 
 
 def test_schedule_adaptive_uses_doubled_argument():

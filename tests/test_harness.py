@@ -18,7 +18,7 @@ from locent.errors import (
     PreconditionViolated,
     UnboundedClassWithoutMomentConstant,
 )
-from locent.estimator import NoiseModel, PoolBudget, RateConstants
+from locent.estimator import NoiseModel, PoolBudget, RateConstants, entropy_arg, stage_eps
 from locent.harness import (
     ExperimentConfig,
     TruthSpec,
@@ -26,6 +26,7 @@ from locent.harness import (
     check_norm_concentration,
     check_test_error,
     concentration_bound_bounded,
+    constants_for,
     draw_data,
     fit_rate_slope,
     make_truth,
@@ -171,6 +172,37 @@ def test_experiment_auto_grid_builds_one_profile_per_n(monkeypatch):
     run_experiment(cfg)
     assert calls == [body_for_n(cfg, n).tag for n in cfg.n_grid]
     assert len(set(calls)) == len(cfg.n_grid)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"body_params": {"p": 1, "m": 6}, "max_stages": 3},
+    {"condition_kind": "adaptive", "n_grid": (32, 64, 100)},
+], ids=["auto-grid", "fixed-capped", "adaptive"])
+def test_experiment_builds_the_schedule_prefix(monkeypatch, kw):
+    # per body: the arguments of every J whose log-2 floor holds at the
+    # largest n sharing the body, and J = 1 always; nothing coarser
+    grids = []
+    real = harness.local_entropy
+
+    def recording(body, eps_grid, *a, **k):
+        grids.append((body.tag, list(eps_grid)))
+        return real(body, eps_grid, *a, **k)
+
+    monkeypatch.setattr(harness, "local_entropy", recording)
+    cfg = small_config(replicates=2, **kw)
+    run_experiment(cfg)
+    last = {body_for_n(cfg, n).tag: n for n in cfg.n_grid}
+    expected = []
+    for tag, n in last.items():
+        body = body_for_n(cfg, n)
+        consts, d = constants_for(cfg, body), body.diameter()
+        kind = harness.resolve_condition_kind(cfg, body)
+        read = [J for J in range(1, cfg.max_stages + 1)
+                if J == 1 or n * stage_eps(J, consts, d) ** 2 > np.log(2.0)]
+        expected.append((tag, sorted(entropy_arg(J, d, kind) for J in read)))
+    assert grids == expected
+    assert all(len(grid) < cfg.max_stages + 3 for _, grid in grids)
 
 
 def test_experiment_failure_isolation(monkeypatch):
