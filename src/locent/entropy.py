@@ -38,6 +38,12 @@ class EntropyBudget:
     pool_size: int = 256
     centers: int = 8  # sampled sup centers in global mode, extremes extra
 
+    def __post_init__(self):
+        if self.pool_size < 1:
+            raise ValueError("profile pool size must be >= 1")
+        if self.centers < 0:
+            raise ValueError("profile centers must be >= 0")
+
 
 @dataclass
 class EntropyProfile:

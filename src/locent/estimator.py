@@ -201,6 +201,12 @@ class PoolBudget:
     growth: float = 1.0  # pool size multiplier per stage
     cap: int = 4096
 
+    def __post_init__(self):
+        if self.size < 1 or self.cap < 1:
+            raise ValueError("pool size and cap must be >= 1")
+        if not self.growth > 0:
+            raise ValueError("pool growth must be > 0")
+
     def stage_size(self, k: int) -> int:
         return int(min(self.cap, round(self.size * self.growth ** (k - 1))))
 

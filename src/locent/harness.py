@@ -178,6 +178,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown theory {self.theory!r}")
         if self.replicates < 1:
             raise ValueError("replicates >= 1")
+        if self.max_stages < 1:
+            raise ValueError("max_stages >= 1")
+        if self.stages is not None and self.stages < 1:
+            raise ValueError("stages >= 1")
         if any(nxt <= prev for prev, nxt in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.truth.kind == "sparse" and "p" in self.body_params:

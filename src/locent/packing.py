@@ -19,8 +19,9 @@ from .points import as_coords
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
-# rows per Gram block: 128 rows of float64 against a 1,800-row pool (1.8 MB) stay in L2
+# rows per Gram block: 128 float32 rows against a 1,800-row pool (0.9 MB) stay in L2
 SCREEN_BLOCK = 128
+U32 = 2.0 ** -24  # float32 unit roundoff
 
 
 def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start: int = 0):
@@ -32,24 +33,51 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     unless it conflicts with a row already kept.  Returns the kept indices in
     ascending order; every candidate is within ``separation`` of one of them.
 
-    Each pair is screened once, on the rows centered on ``points[start]``:
-    ``|x|^2 + |y|^2 - 2 x.y`` against ``(separation / metric_scale)^2``.  A
-    block of ``SCREEN_BLOCK`` rows is screened against itself and every later
-    row and writes straight into the conflict matrix.  Nothing is mirrored,
-    so a row's conflicts are its row of the matrix or its column.  Gram,
-    centering and ``dist_rows`` rounding stay below
-    ``(2 dim + 8) eps (|x|^2 + |y|^2 + threshold)``.  A pair below the
-    threshold by more than that band is a conflict and one above it by more
-    is not; when a block has more pairs below ``+band`` than below ``-band``,
-    the pairs in between are decided by ``dist_rows``.  So every decision
-    agrees with ``dist_rows``, whatever the BLAS rounding.
+    Each pair is screened once, in float32: ``|x|^2 + |y|^2 - 2 x.y``
+    against the threshold ``(separation / metric_scale)^2``, on the rows
+    centered on ``points[start]`` in float64 and scaled, threshold too, by
+    the power of two that brings the largest ``|x|^2`` into [0.25, 1).  The
+    scaling is exact and keeps float32 from overflowing or underflowing at
+    any radius or offset.  No scaled ``|x - y|`` reaches 2, so a scaled
+    separation above 3 is cut to 3 without changing a decision.  A block of
+    ``SCREEN_BLOCK`` rows is screened against itself and every later row
+    and writes straight into the conflict matrix.  Nothing is mirrored, so
+    a row's conflicts are its row of the matrix or its column.
+
+    With ``u = 2^-24``, ``S = |x|^2 + |y|^2`` and ``B = 2 max|x|^2 +
+    threshold >= S + threshold``, the screened value differs from the exact
+    scaled squared distance less the threshold by at most
+
+    * ``4 u S`` from rounding the coordinates to float32;
+    * ``2 dim u S`` from the Gram entry and the two squared norms, each
+      within ``gamma_dim`` of its sum of absolute terms in any summation
+      order (Higham, Accuracy and Stability, 3.1);
+    * ``4.5 u B`` from the three additions;
+    * ``u B`` from rounding the threshold to float32;
+
+    and the float64 steps (centering, threshold, ``dist_rows``) round by
+    less than ``(2 dim + 8) 2^-52 B <= u B``.  The band
+    ``(2 dim + 16) u B / (1 - 4 dim u)`` covers that sum; the ``5 u B`` it
+    has to spare takes float32 subnormals (below ``2^-149`` per term
+    against ``B >= 0.5``; rows all equal to the start round to exact
+    zeros) and the rounding of the band itself, and the division the
+    second-order terms.  A pair below the threshold by more
+    than the band is a conflict and one above it by more is not; when a
+    block has more pairs below ``+band`` than below ``-band``, the pairs in
+    between are decided by ``dist_rows``.  So every decision agrees with
+    ``dist_rows``, whatever the BLAS rounding.
     """
     n, dim = points.shape
     x = points - points[start]
+    top = np.einsum("ij,ij->i", x, x).max()
+    scale = np.ldexp(1.0, -np.frexp(top)[1] // 2) if top > 0 else 1.0
+    x *= scale
+    x = x.astype(np.float32)
     sq = np.einsum("ij,ij->i", x, x)
-    thr = (separation / body.metric_scale) ** 2
+    thr = np.float32(min(separation / body.metric_scale * scale, 3.0) ** 2)
     # one band for all pairs: the largest |x|^2 bounds every |x|^2 + |y|^2
-    band = (2 * dim + 8) * np.finfo(np.float64).eps * (2.0 * sq.max() + thr)
+    band = np.float32((2 * dim + 16) * U32 / (1 - 4 * dim * U32)
+                      * (2.0 * float(sq.max()) + float(thr)))
     conflict = np.zeros((n, n), dtype=bool)
     for lo in range(0, n, SCREEN_BLOCK):
         hi = min(lo + SCREEN_BLOCK, n)

@@ -146,6 +146,23 @@ def test_unknown_kind_values_fail_at_load(text, value):
         load_config_text(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[budget]\nmax_stages = 0\n", "max_stages >= 1"),
+    ("[experiment]\nstages = 0\n", "stages >= 1"),
+    ("[budget]\npool_size = 0\n", "pool size and cap must be >= 1"),
+    ("[budget]\npool_growth = -1\n", "pool growth must be > 0"),
+    ("[budget]\npool_cap = 0\n", "pool size and cap must be >= 1"),
+    ("[budget]\nprofile_pool = 0\n", "profile pool size must be >= 1"),
+    ("[budget]\nprofile_centers = -3\n", "profile centers must be >= 0"),
+], ids=["max_stages", "stages", "pool_size", "pool_growth", "pool_cap", "profile_pool",
+        "profile_centers"])
+def test_settings_below_their_minimum_fail_at_load(text, message):
+    # each used to load and then fail mid-sweep, end as all-NaN replicates,
+    # or (a negative center count) run as if it were 0
+    with pytest.raises(ValueError, match=message):
+        load_config_text(text)
+
+
 def test_sparse_theory_needs_its_keys():
     with pytest.raises(ValueError, match="theory_s"):
         load_config_text("[experiment]\ntheory = sparse_l1\ntheory_p = 8\n")

@@ -266,6 +266,77 @@ def test_greedy_select_block_boundaries_match_dist_rows_oracle(body, offset, blo
     _check_near_threshold_lattice(body, offset, side=6)
 
 
+def _check_against_oracle(body, pts, sep):
+    pair = dist_rows(body, pts[:, None, :], pts)
+    for start in (0, len(pts) - 1):
+        np.testing.assert_array_equal(greedy_select(body, pts, sep, start=start),
+                                      _oracle_walk(pair, sep, start))
+
+
+def test_greedy_select_float32_rounding_band_matches_dist_rows_oracle():
+    # isolated pairs at separation * (1 + k 1e-7): within float32 rounding of
+    # the screen, far outside a float64 band, and each pair's decision
+    # changes the selection (one row kept for a conflict, two otherwise)
+    body = LinearL1(16, 100.0)
+    rng = np.random.default_rng(11)
+    sep = 0.37
+    steps = np.repeat([-30, -10, -5, -3, -2, -1, 1, 2, 3, 5, 10, 30], 8) * 1e-7
+    anchors = 3 * sep * rng.random((len(steps), body.dim))
+    unit = rng.standard_normal(anchors.shape)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    pts = np.vstack([anchors, anchors + (sep * (1 + steps))[:, None] * unit])
+    pair = dist_rows(body, pts[:, None, :], pts)
+    partner = np.concatenate([np.arange(len(steps)) + len(steps), np.arange(len(steps))])
+    np.testing.assert_array_equal(pair[np.arange(len(pts)), partner] <= sep,
+                                  np.tile(steps < 0, 2))
+    others = pair.copy()
+    others[np.arange(len(pts)), partner] = np.inf
+    np.fill_diagonal(others, np.inf)
+    assert others.min() > 1.5 * sep
+    _check_against_oracle(body, pts, sep)
+
+
+def _offset_l1_pool(radius):
+    body = LinearL1(8, 1e5)
+    center = np.full(8, 1e4 / np.sqrt(8))  # 1e4 from the origin
+    return body, packing.build_pool(body, center, radius, pool_seed=2, pool_size=255)
+
+
+def _gaussian_pool(scale):
+    return LinearL1(8), scale * rng_for(0, "scaled-pool").standard_normal((200, 8))
+
+
+POOLS = {
+    "offset-radius-1e-9": lambda: _offset_l1_pool(1e-9),
+    "offset-radius-1e6": lambda: _offset_l1_pool(1e6),
+    # squared coordinates past the float32 range either way
+    "scale-1e-30": lambda: _gaussian_pool(1e-30),
+    "scale-1e30": lambda: _gaussian_pool(1e30),
+    # dim 256, the widest band the sweeps use
+    "monotone-dim256": lambda: (MonotoneGrid(2, 16),
+                                MonotoneGrid(2, 16).sample_rows(300, rng_for(0, "dim256-pool"))),
+}
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_greedy_select_prescaled_pools_match_dist_rows_oracle(pool):
+    # the power-of-two prescale keeps the float32 screen clear of underflow
+    # and overflow at any radius or offset; the separation is one pair's
+    # distance, so that pair ties, and a tenth of all pairs conflict
+    body, pts = POOLS[pool]()
+    pair = dist_rows(body, pts[:, None, :], pts)
+    sep = float(np.quantile(pair[np.triu_indices(len(pts), 1)], 0.1, method="lower"))
+    _check_against_oracle(body, pts, sep)
+
+
+@pytest.mark.filterwarnings("error")
+def test_greedy_select_separation_far_above_the_pool_spread():
+    # the scaled threshold would pass the float32 range: it is cut, and
+    # every pair still conflicts
+    pts = 1e-25 * rng_for(0, "tiny-pool").standard_normal((50, 3))
+    np.testing.assert_array_equal(greedy_select(LinearL1(3), pts, 1.0, start=7), [7])
+
+
 def _openblas_dynamic_arch() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
