@@ -208,7 +208,8 @@ class PoolBudget:
             raise ValueError("pool growth must be > 0")
 
     def stage_size(self, k: int) -> int:
-        return int(min(self.cap, round(self.size * self.growth ** (k - 1))))
+        # a growth below 1 shrinks the pool, but never to no rows
+        return int(min(self.cap, max(1, round(self.size * self.growth ** (k - 1)))))
 
 
 def structured_candidates(body: ConvexBody, center: np.ndarray, radius: float) -> np.ndarray:

@@ -402,16 +402,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             raise InsufficientData(f"all replicates failed at n={n}")
 
     mean_risk = {n: float(np.nanmean(risks[n])) for n in cfg.n_grid}
+    counts = {n: int(np.sum(np.isfinite(risks[n]))) for n in cfg.n_grid}
+    # a single finite replicate has no standard error: NaN
     std_error = {
-        n: float(np.nanstd(risks[n], ddof=1) / np.sqrt(np.sum(np.isfinite(risks[n]))))
+        n: float(np.nanstd(risks[n], ddof=1) / np.sqrt(counts[n])) if counts[n] > 1 else np.nan
         for n in cfg.n_grid
     }
 
-    # slope fit, excluding cells in the diameter^2 ceiling regime
+    # slope fit, excluding cells in the diameter^2 ceiling regime; a cell
+    # with no standard error is judged by its mean alone
     excluded = [
         int(n)
         for n in cfg.n_grid
-        if mean_risk[n] + 2.0 * std_error[n] >= d2[n] or mean_risk[n] <= 0
+        if mean_risk[n] + 2.0 * np.nan_to_num(std_error[n]) >= d2[n] or mean_risk[n] <= 0
     ]
     pts = [(n, mean_risk[n]) for n in cfg.n_grid if int(n) not in excluded]
     slope = intercept = stderr = None
@@ -473,51 +476,6 @@ def concentration_bound_unbounded(
     )
 
 
-def _pn_norms(body, design, diffs: list[np.ndarray], n: int, trials: int, rng) -> list[np.ndarray]:
-    """Per-trial n*||diff||^2_{Pn} for each coordinate difference in diffs,
-    drawn jointly from their exact law; see :func:`check_norm_concentration`
-    for the cases."""
-    if not isinstance(body, LinearBody):
-        # uniform design on nodes: each statistic is sum_j c_j d_j^2 with the
-        # same multinomial node counts c for every difference d
-        sq = np.stack([d * d for d in diffs])
-        pvals = np.full(body.dim, 1.0 / body.dim)
-        outs = [(rng.multinomial(n, pvals, size=t)[:, None, :] * sq).sum(axis=2)
-                for t in _trial_chunks(trials, body.dim)]
-        return list(np.concatenate(outs).T)
-    if design.kind == "gaussian" and len(diffs) == 2 and n >= 2:
-        # with D the two differences as columns, D^T X^T X D ~
-        # Wishart_2(n, D^T D) = R A A^T R in law, A the Bartlett factor and R
-        # the symmetric root of the Gram matrix D^T D; a root, unlike a
-        # Cholesky factor, needs no full rank
-        R = _sqrt_psd_2x2(np.array([[float((a * b).sum()) for b in diffs] for a in diffs]))
-        outs = []
-        for t in _trial_chunks(trials, 4):
-            RA = (R[None, :, :, None] * _bartlett(t, 2, n, rng)[:, None, :, :]).sum(axis=2)
-            outs.append((RA * RA).sum(axis=2))
-        return list(np.concatenate(outs).T)
-    return _pn_norms_direct(body, design, diffs, n, trials, rng)
-
-
-def _pn_norms_direct(body, design, diffs, n, trials, rng) -> list[np.ndarray]:
-    """Simulate all n design points of each trial."""
-    per_trial = n * body.dim if isinstance(body, LinearBody) else n
-    outs = []
-    for t in _trial_chunks(trials, per_trial):
-        x = body.sample_design(t * n, design, rng)
-        z = np.stack([body.evaluate(x, d).reshape(t, n) for d in diffs], axis=1)
-        outs.append((z * z).sum(axis=2))
-    return list(np.concatenate(outs).T)
-
-
-def _sqrt_psd_2x2(G: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a 2x2 positive semidefinite G, rank 1 or 0
-    included: (G + s I) / sqrt(tr G + 2 s) with s = sqrt(det G)."""
-    s = np.sqrt(max(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0], 0.0))
-    scale = np.sqrt(G[0, 0] + G[1, 1] + 2.0 * s)
-    return (G + s * np.eye(2)) / scale if scale > 0.0 else np.zeros((2, 2))
-
-
 def check_norm_concentration(
     body: ConvexBody,
     f,
@@ -538,18 +496,9 @@ def check_norm_concentration(
     Event: n||f-fbar||^2_Pn <= 2 delta^2 and n||f-g||^2_Pn >= (C^2-1) delta^2.
     Preconditions: n||f-g||^2 >= C^2 delta^2 and n||f-fbar||^2 < delta^2.
 
-    Both statistics are sums over the n design points, so each trial draws
-    the pair jointly from its exact law, at a cost free of n:
-
-    - grid bodies: multinomial node counts c, shared by both statistics
-      sum_j c_j d_j^2;
-    - linear bodies with the gaussian design, n >= 2: the diagonal of
-      R A A^T R, with A a 2x2 Bartlett factor of the Wishart_2(n, I) law and
-      R the symmetric square root of the Gram matrix of f - fbar and f - g
-      (rank 1 or 0 when f = fbar or the differences are parallel).
-
-    Every other case (the rademacher and uniform_cube designs, n = 1)
-    simulates all n design points.
+    Both statistics are sums over the n design points, which each trial
+    draws jointly through :func:`_pair_draws`, from their exact law where
+    one is known.
     """
     fc, gc, bc = as_coords(f), as_coords(g), as_coords(f_bar)
     if n * dist(body, fc, gc) ** 2 < C * C * delta * delta:
@@ -569,7 +518,10 @@ def check_norm_concentration(
     if design is None:
         design = DesignDistribution("gaussian")
     rng = rng_for(seed, "concentration")
-    close, far = _pn_norms(body, design, [(fc - bc), (fc - gc)], n, trials, rng)
+    close, far = _pair_sums(
+        ((c * (A * A)).sum(axis=1), (c * (B * B)).sum(axis=1))
+        for c, A, B, *_ in _pair_draws(body, design, None, n, trials, rng, fc - bc, fc - gc)
+    )
     event = (close <= 2.0 * delta * delta) & (far >= (C * C - 1.0) * delta * delta)
     return ConcentrationReport(
         frequency=float(event.mean()),
@@ -620,20 +572,11 @@ def check_test_error(
     H1-side truth mirrors it across the pair: g + (f_bar - f), projected.
 
     psi depends on a sample only through the gap D = rss_f - rss_g =
-    sum_i (g-f)(x_i) (2 y_i - (f+g)(x_i)), so each trial draws D from its
-    exact law where one is known, at a cost free of n:
-
-    - grid bodies with gaussian or scaled_rademacher noise: multinomial node
-      counts and per-node noise sums;
-    - linear bodies with the gaussian design and those noises, when n >= p
-      (n - 1 >= p for rademacher noise): (X^T X, X^T e) through Bartlett
-      factors of the Wishart law.
-
-    Every other case (uniform_bounded noise, the rademacher and uniform_cube
-    designs, smaller n) simulates all n observations.  As in
+    sum_i (g-f)(x_i) (2 y_i - (f+g)(x_i)), which each trial draws through
+    :func:`_pair_draws`, from its exact law where one is known.  As in
     :func:`pairwise_test_psi`, a tie rss_f == rss_g gives psi = 1; a gap
-    within the rounding bound of its sum counts as a tie, so both paths
-    decide ties the same way.  D is built from g - f and f + g only, so
+    within the rounding bound of its sum counts as a tie, so every path
+    decides ties the same way.  D is built from g - f and f + g only, so
     swapping f and g negates it bit for bit, and with the stream keyed by
     the truth the two reports mirror exactly whenever no trial ties.
     """
@@ -649,15 +592,18 @@ def check_test_error(
     bound = 3.0 * np.exp(-constants.L_paper * delta2)
     if design is None:
         design = DesignDistribution("gaussian")
-    gaps = _gaps_exact if _exact_law_applies(body, design, noise, n) else _gaps_direct
     u, s = gc - fc, fc + gc
     mag_u = np.abs(fc) + np.abs(gc)
 
     def psi_one_count(truth: np.ndarray) -> int:
         # stream keyed by the truth so swapping f and g mirrors exactly
         rng = rng_for(seed, "test-error", truth)
-        gap, mag = gaps(body, design, noise, n, trials, rng,
-                        u, 2.0 * truth - s, mag_u, 2.0 * np.abs(truth) + mag_u)
+        draws = _pair_draws(body, design, noise, n, trials, rng, u, 2.0 * truth - s,
+                            mag_u, 2.0 * np.abs(truth) + mag_u)
+        gap, mag = _pair_sums(
+            ((A * (c * B + r)).sum(axis=1), (MA * (c * MB + np.abs(r))).sum(axis=1))
+            for c, A, B, r, MA, MB in draws
+        )
         return int(np.count_nonzero(_psi_from_gap(gap, mag, n, body.dim)))
 
     return TestErrorReport(
@@ -670,13 +616,6 @@ def check_test_error(
     )
 
 
-# Each sampler below returns, per trial, the gap D = sum_i u(x_i) (w(x_i) +
-# 2 e_i) with u = g - f and w = 2 truth - (f + g), and the same sum over the
-# magnitudes mag_u >= |u| and mag_w >= |w| of their inputs, which bounds
-# the rounding error of D.  Sums over coordinates multiply and reduce
-# elementwise, so negating u negates D exactly.
-
-
 def _trial_chunks(trials: int, per_trial: int):
     step = max(1, int(2e6 // max(per_trial, 1)))
     for start in range(0, trials, step):
@@ -684,80 +623,110 @@ def _trial_chunks(trials: int, per_trial: int):
 
 
 def _exact_law_applies(body: ConvexBody, design: DesignDistribution,
-                       noise: NoiseModel, n: int) -> bool:
-    if noise.kind not in ("gaussian", "scaled_rademacher"):
+                       noise: NoiseModel | None, n: int) -> bool:
+    """Whether :func:`_pair_draws` draws from an exact law; no noise is
+    treated as gaussian noise."""
+    kind = "gaussian" if noise is None else noise.kind
+    if kind not in ("gaussian", "scaled_rademacher"):
         return False
     if isinstance(body, LinearBody):
-        dof = n if noise.kind == "gaussian" else n - 1
-        return design.kind == "gaussian" and dof >= body.p
+        # the 2x2 Bartlett factor takes n dof, or n - 1 beside rademacher's z
+        return design.kind == "gaussian" and n >= (2 if kind == "gaussian" else 3)
     return True
 
 
-def _gaps_direct(body, design, noise, n, trials, rng, u, w, mag_u, mag_w):
-    """Simulate all n observations of each trial."""
-    linear = isinstance(body, LinearBody)
-    gaps, mags = [], []
-    for t in _trial_chunks(trials, n * body.dim if linear else n):
-        x = body.sample_design(t * n, design, rng)
-        if linear:
-            # elementwise sums, not body.evaluate's x @ u: they keep the
-            # swap negation of D exact
-            absx = np.abs(x)
-            du, dw = (x * u).sum(axis=1), (x * w).sum(axis=1)
-            mu, mw = (absx * mag_u).sum(axis=1), (absx * mag_w).sum(axis=1)
-        else:
-            du, dw, mu, mw = u[x], w[x], mag_u[x], mag_w[x]
-        du, dw, mu, mw = (v.reshape(t, n) for v in (du, dw, mu, mw))
-        e = noise.sample((t, n), rng)
-        gaps.append((du * (dw + 2.0 * e)).sum(axis=1))
-        mags.append((mu * (mw + 2.0 * np.abs(e))).sum(axis=1))
-    return np.concatenate(gaps), np.concatenate(mags)
+def _pair_draws(body, design, noise, n, trials, rng, a, b, mag_a=None, mag_b=None):
+    """Chunks (c, A, B, r, MA, MB), one row per trial, that stand in for n
+    observations of the functions with coordinates a and b, and of the noise.
 
+    Jointly in law, the sums of c A^2, c A B and c B^2 equal the sums of
+    a(x_i)^2, a(x_i) b(x_i) and b(x_i)^2 over n design points, and the sum
+    of A r equals 2 sum_i a(x_i) e_i; r = 0 when ``noise`` is None.  MA and
+    MB are the same draws over magnitudes of the inputs (mag_a >= |a| and
+    mag_b >= |b|, or |R| below), which bound the rounding error of the sums.
 
-def _gaps_exact(body, design, noise, n, trials, rng, u, w, mag_u, mag_w):
-    """Draw D from its exact law; see :func:`check_test_error` for the cases."""
-    sigma = noise.sigma
-    gaussian = noise.kind == "gaussian"
-    gaps, mags = [], []
-    if not isinstance(body, LinearBody):
-        # uniform design on nodes: counts c are multinomial and the noise sum
-        # S_j over node j is N(0, c_j sigma^2) or sigma (2 Bin(c_j, 1/2) - c_j)
+    - Grid bodies with gaussian or scaled_rademacher noise: c the multinomial
+      node counts, A = a, B = b and r twice the per-node noise sums,
+      N(0, c_j sigma^2) or sigma (2 Bin(c_j, 1/2) - c_j).
+    - Linear bodies with the gaussian design and those noises, n >= 2
+      (n >= 3 for rademacher noise): X enters only through the rows of
+      (Xa, Xb), which are N(0, G) with G the Gram matrix of (a, b).  With R
+      the symmetric root of G, which needs no full rank, and F a 2x2
+      Bartlett factor of Wishart_2(n, I): c = 1, A = F^T R e_1,
+      B = F^T R e_2 and r = 2 sigma xi, xi ~ N(0, I_2).  Rademacher signs
+      fold into the symmetric rows, so (X^T X, X^T e) ~ (z z^T + W_{n-1},
+      sigma sqrt(n) z) and F = [z | Bartlett(n - 1)] with
+      r = (2 sigma sqrt(n), 0, 0).  MA and MB are |R e_i|^T |F|.
+    - Every other case (uniform_bounded noise, the rademacher and
+      uniform_cube designs, smaller n) simulates all n observations:
+      c = 1 and r = 2 e.
+
+    Sums over coordinates multiply and reduce elementwise, and the linear
+    law signs a so that its first nonzero coordinate is positive and signs
+    A back, so negating a negates A bit for bit.
+    """
+    exact = _exact_law_applies(body, design, noise, n)
+    rademacher = noise is not None and noise.kind == "scaled_rademacher"
+    if exact and not isinstance(body, LinearBody):
         pvals = np.full(body.dim, 1.0 / body.dim)
         for t in _trial_chunks(trials, body.dim):
             c = rng.multinomial(n, pvals, size=t)
-            if gaussian:
-                S = sigma * np.sqrt(c) * rng.standard_normal(c.shape)
+            if noise is None:
+                r = 0.0
+            elif rademacher:
+                r = 2.0 * (noise.sigma * (2.0 * rng.binomial(c, 0.5) - c))
             else:
-                S = sigma * (2.0 * rng.binomial(c, 0.5) - c)
-            gaps.append((u * (c * w + 2.0 * S)).sum(axis=1))
-            mags.append((mag_u * (c * mag_w + 2.0 * np.abs(S))).sum(axis=1))
-        return np.concatenate(gaps), np.concatenate(mags)
-    # D = u^T (X^T X) w + u^T (2 X^T e) = u^T F (F^T w + r) with F F^T = X^T X
-    # and F r = 2 X^T e jointly in law.  Gaussian noise: F is the Bartlett
-    # factor A and r = 2 sigma xi.  Rademacher noise: the signs fold into
-    # the symmetric rows, so (X^T X, X^T e) ~ (z z^T + W_{n-1}, sigma sqrt(n) z)
-    # and F = [z | B] with r = (2 sigma sqrt(n), 0, ..., 0).
-    p = body.p
-    for t in _trial_chunks(trials, p * (p + 1)):
-        if gaussian:
-            F = _bartlett(t, p, n, rng)
-            r = 2.0 * sigma * rng.standard_normal((t, p))
-        else:
-            z = rng.standard_normal((t, p, 1))
-            F = np.concatenate([z, _bartlett(t, p, n - 1, rng)], axis=2)
-            r = np.zeros((t, p + 1))
-            r[:, 0] = 2.0 * sigma * np.sqrt(n)
-        absF = np.abs(F)
-        Fu, Fw = (F * u[:, None]).sum(axis=1), (F * w[:, None]).sum(axis=1)
-        Mu, Mw = (absF * mag_u[:, None]).sum(axis=1), (absF * mag_w[:, None]).sum(axis=1)
-        gaps.append((Fu * (Fw + r)).sum(axis=1))
-        mags.append((Mu * (Mw + np.abs(r))).sum(axis=1))
-    return np.concatenate(gaps), np.concatenate(mags)
+                r = 2.0 * (noise.sigma * np.sqrt(c) * rng.standard_normal(c.shape))
+            yield c, a, b, r, mag_a, mag_b
+    elif exact:
+        nonzero = a[a != 0.0]
+        sign = -1.0 if len(nonzero) and nonzero[0] < 0.0 else 1.0
+        pair = (sign * a, b)
+        R = _sqrt_psd_2x2(np.array([[float((v * w).sum()) for w in pair] for v in pair]))
+        for t in _trial_chunks(trials, 4):
+            if rademacher:
+                z = rng.standard_normal((t, 2, 1))
+                F = np.concatenate([z, _bartlett(t, n - 1, rng)], axis=2)
+                r = np.zeros((t, 3))
+                r[:, 0] = 2.0 * noise.sigma * np.sqrt(n)
+            else:
+                F = _bartlett(t, n, rng)
+                r = 0.0 if noise is None else 2.0 * noise.sigma * rng.standard_normal((t, 2))
+            # F^T R e_i, reduced elementwise over the two rows of F
+            A, B = ((R[:, i, None] * F).sum(axis=1) for i in (0, 1))
+            MA, MB = ((np.abs(R[:, i, None]) * np.abs(F)).sum(axis=1) for i in (0, 1))
+            yield 1.0, sign * A, B, r, MA, MB
+    else:
+        linear = isinstance(body, LinearBody)
+
+        def at(v, x):  # elementwise sums, not body.evaluate's x @ v
+            if v is None:
+                return None
+            return ((x * v).sum(axis=1) if linear else v[x]).reshape(-1, n)
+
+        for t in _trial_chunks(trials, n * body.dim if linear else n):
+            x = body.sample_design(t * n, design, rng)
+            r = 0.0 if noise is None else 2.0 * noise.sample((t, n), rng)
+            yield 1.0, at(a, x), at(b, x), r, at(mag_a, np.abs(x)), at(mag_b, np.abs(x))
 
 
-def _bartlett(t: int, p: int, dof: int, rng) -> np.ndarray:
-    """t lower-triangular A with A A^T ~ Wishart_p(dof, I), dof >= p."""
-    A = np.tril(rng.standard_normal((t, p, p)), -1)
-    i = np.arange(p)
-    A[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=(t, p)))
+def _pair_sums(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-trial statistics, each concatenated over the chunks."""
+    first, second = zip(*chunks)
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _sqrt_psd_2x2(G: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a 2x2 positive semidefinite G, rank 1 or 0
+    included: (G + s I) / sqrt(tr G + 2 s) with s = sqrt(det G)."""
+    s = np.sqrt(max(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0], 0.0))
+    scale = np.sqrt(G[0, 0] + G[1, 1] + 2.0 * s)
+    return (G + s * np.eye(2)) / scale if scale > 0.0 else np.zeros((2, 2))
+
+
+def _bartlett(t: int, dof: int, rng) -> np.ndarray:
+    """t lower-triangular 2x2 A with A A^T ~ Wishart_2(dof, I), dof >= 2."""
+    A = np.tril(rng.standard_normal((t, 2, 2)), -1)
+    i = np.arange(2)
+    A[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=(t, 2)))
     return A

@@ -247,6 +247,19 @@ def _text(cp) -> str:
     return buf.getvalue()
 
 
+def test_pool_growth_below_one_runs():
+    # a shrinking pool bottoms out at one row: an empty pool fails every
+    # replicate
+    cp = configparser.ConfigParser()
+    cp.read_string(MONOTONE_INI)
+    cp["budget"]["pool_growth"] = "0.01"
+    cfg = load_config_text(_text(cp))
+    assert cfg.pool.stage_size(3) == 1
+    res = harness.run_experiment(cfg)
+    for n in cfg.n_grid:
+        assert np.all(np.isfinite(res.risks[n])), n
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     p = tmp_path / "exp.ini"

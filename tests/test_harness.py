@@ -236,6 +236,23 @@ def test_experiment_all_failures_raise(monkeypatch):
         run_experiment(small_config())
 
 
+def test_experiment_single_replicate_has_no_standard_error(monkeypatch):
+    # one finite replicate per n: the standard error is NaN, without numpy's
+    # degrees-of-freedom warning, and the diameter ceiling reads the mean
+    real = harness._run_cell
+
+    def at_ceiling_first(cfg, n, rep, stages, body, truth):
+        if n == cfg.n_grid[0]:
+            return body.diameter() ** 2
+        return real(cfg, n, rep, stages, body, truth)
+
+    monkeypatch.setattr(harness, "_run_cell", at_ceiling_first)
+    res = run_experiment(small_config(replicates=1, n_grid=(32, 64, 128, 256)))
+    assert all(np.isnan(res.std_error[n]) for n in res.n_grid)
+    assert res.fit_excluded == [32]
+    assert res.slope is not None
+
+
 # -- concentration checks ----------------------------------------------------------
 
 
@@ -304,17 +321,29 @@ PN_CASES = {
 }
 
 
+def _pn_norms(body, diffs, n, trials, seed):
+    """The two statistics n ||d||^2_{Pn} of the concentration check, per
+    trial, as it reads them off :func:`harness._pair_draws`."""
+    draws = harness._pair_draws(body, DesignDistribution("gaussian"), None, n, trials,
+                                np.random.default_rng(seed), *diffs)
+    return harness._pair_sums(((c * (A * A)).sum(axis=1), (c * (B * B)).sum(axis=1))
+                              for c, A, B, *_ in draws)
+
+
 @pytest.mark.parametrize("case", sorted(PN_CASES))
-def test_pn_norms_exact_law_matches_simulation(case):
+def test_pn_norms_exact_law_matches_simulation(monkeypatch, case):
     # the exact-law pair against simulating all n design points, on
     # separate seeds: both means, the joint-event frequency and the
     # cross-correlation, which a sampler drawing the two statistics
     # independently gets wrong
     body, close_d, far_d, n = PN_CASES[case]
     diffs = [np.array(close_d), np.array(far_d)]
-    design, trials = DesignDistribution("gaussian"), 20_000
-    exact = harness._pn_norms(body, design, diffs, n, trials, np.random.default_rng(31))
-    direct = harness._pn_norms_direct(body, design, diffs, n, trials, np.random.default_rng(32))
+    trials = 20_000
+    assert harness._exact_law_applies(body, DesignDistribution("gaussian"), None, n)
+    exact = _pn_norms(body, diffs, n, trials, 31)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_exact_law_applies", lambda *args: False)
+        direct = _pn_norms(body, diffs, n, trials, 32)
 
     def within(p, q, se):
         assert abs(p - q) <= 4.0 * se, (p, q, se)
@@ -373,20 +402,36 @@ def test_check_test_error_swap_symmetry():
     assert a.freq_h1 == b.freq_h0
 
 
+SWAP_CASES = {
+    # (body, f, g, f_bar, n), dyadic so that the mirrored truths are exact:
+    # the truth on the f-g line (a rank-1 pair u, w), off it (full rank),
+    # and a sample smaller than the dimension
+    "rank-1": (LinearL1(4, 1.0), [0.25, 0.0, 0.0, 0.0], [-0.25, 0.0, 0.0, 0.0],
+               [0.25, 0.0, 0.0, 0.0], 20),
+    "full-rank": (LinearL1(4, 1.0), [0.25, 0.0, 0.0, 0.0], [-0.25, 0.0, 0.0, 0.0],
+                  [0.25, 0.0625, 0.0, 0.0], 20),
+    "n-below-p": (LinearL1(8, 1.0), [0.5] + [0.0] * 7, [-0.5] + [0.0] * 7,
+                  [0.5, 0.0, 0.125] + [0.0] * 5, 5),
+}
+
+
 @pytest.mark.parametrize("noise_kind", ["gaussian", "scaled_rademacher"])
 def test_check_test_error_swap_symmetry_linear(noise_kind):
-    # the exact law draws (X^T X, X^T e) through Bartlett factors; the gap
-    # must still negate bit for bit when f and g trade places
-    body = LinearL1(4, 1.0)
-    f, g = body.point([0.25, 0.0, 0.0, 0.0]), body.point([-0.25, 0.0, 0.0, 0.0])
-    consts = RateConstants.unbounded(4.0, 1.0, body.diameter(), 1.0, 0.125)
+    # the exact law draws the gap through a 2x2 Bartlett factor on the span
+    # of g - f and the truth's offset; the gap must still negate bit for bit
+    # when f and g trade places
     noise, design = NoiseModel(noise_kind, 1.0), DesignDistribution("gaussian")
-    assert harness._exact_law_applies(body, design, noise, 20)
-    a = check_test_error(body, f, g, f, noise, 20, consts, trials=3000, seed=6, design=design)
-    b = check_test_error(body, g, f, g, noise, 20, consts, trials=3000, seed=6, design=design)
-    assert 0.0 < a.freq_h0 < 1.0 and 0.0 < a.freq_h1 < 1.0
-    assert a.freq_h0 == b.freq_h1
-    assert a.freq_h1 == b.freq_h0
+    for case, (body, f, g, f_bar, n) in SWAP_CASES.items():
+        f, g, f_bar = np.array(f), np.array(g), np.array(f_bar)
+        consts = RateConstants.unbounded(4.0, 1.0, body.diameter(), 1.0, 0.125)
+        assert harness._exact_law_applies(body, design, noise, n), case
+        a = check_test_error(body, f, g, f_bar, noise, n, consts, trials=3000, seed=6,
+                             design=design)
+        b = check_test_error(body, g, f, g + (f_bar - f), noise, n, consts, trials=3000,
+                             seed=6, design=design)
+        assert 0.0 < a.freq_h0 < 1.0 and 0.0 < a.freq_h1 < 1.0, case
+        assert a.freq_h0 == b.freq_h1, case
+        assert a.freq_h1 == b.freq_h0, case
 
 
 def _consts_for(body):
@@ -413,6 +458,7 @@ ORACLE_CASES = {
     "holder-extremes": (_HOLDER, _HOLDER.extreme_points()[0], _HOLDER.extreme_points()[1], 40),
     "l1-n6": (LinearL1(4, 1.0), [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], 6),
     "l1-n20": (LinearL1(4, 1.0), [0.25, 0.0, 0.0, 0.0], [-0.25, 0.0, 0.0, 0.0], 20),
+    "l1-n5-below-p": (LinearL1(8, 1.0), [0.5] + [0.0] * 7, [-0.5] + [0.0] * 7, 5),
 }
 
 
