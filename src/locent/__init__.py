@@ -27,7 +27,6 @@ from .estimator import (
     PoolBudget,
     RateConstants,
     RegressionData,
-    StageSchedule,
     pairwise_test_psi,
     run_algorithm1,
     stage_schedule,
@@ -42,7 +41,6 @@ from .harness import (
     run_experiment,
 )
 from .packing import exhaustive_max_packing, greedy_max_packing
-from .points import MetricPoint
 from .rates import (
     RateCertificate,
     certify_lower_bound,

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import projections as proj
 from .errors import DataDimensionMismatch, Degenerate, DimensionMismatch
-from .points import MetricPoint, as_coords
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -89,22 +88,23 @@ class ConvexBody:
     def tag(self) -> str:
         return f"{self.kind}:{self.dim}"
 
-    def point(self, coords) -> MetricPoint:
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (self.dim,):
-            raise DimensionMismatch(f"expected dim {self.dim}, got {coords.shape}")
-        return MetricPoint(coords)
+    def point(self, coords) -> np.ndarray:
+        """A member row: a read-only private float64 copy of ``coords``."""
+        row = np.array(coords, dtype=np.float64)  # a private copy to freeze
+        if row.shape != (self.dim,):
+            raise DimensionMismatch(f"expected dim {self.dim}, got {row.shape}")
+        if not np.all(np.isfinite(row)):
+            raise ValueError("coords must be finite")
+        row.flags.writeable = False
+        return row
 
-    def project(self, x) -> MetricPoint:
+    def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape}")
         return self.point(self.project_rows(x[None, :])[0])
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.contains_coords(as_coords(point), tol)
-
-    def sample_member(self, seed_or_rng) -> MetricPoint:
+    def sample_member(self, seed_or_rng) -> np.ndarray:
         rng = _as_rng(seed_or_rng)
         return self.point(self.sample_rows(1, rng)[0])
 
@@ -117,7 +117,7 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
 
 def dist(body: ConvexBody, f, g) -> float:
     """L2(P_X) distance between two members."""
-    u, v = as_coords(f), as_coords(g)
+    u, v = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
     if u.shape != (body.dim,) or v.shape != (body.dim,):
         raise DimensionMismatch("point dimension does not match the class")
     return float(dist_rows(body, u, v))

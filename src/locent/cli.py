@@ -105,7 +105,7 @@ def cmd_estimate(args):
         kind = resolve_condition_kind(cfg, body)
         prof = schedule_profile(cfg, body, constants, kind, n)
         stages = stage_schedule(prof, n, constants, kind, body.diameter(),
-                                max_stages=cfg.max_stages).j_star
+                                max_stages=cfg.max_stages)
     trace = run_algorithm1(body, data, constants, stages, cfg.pool,
                            seed=derive_seed(seed, "run"), eval_truth=truth)
     _write(args.out, "trace.json", trace.to_json())

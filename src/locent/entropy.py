@@ -20,7 +20,6 @@ import numpy as np
 from .bodies import ConvexBody, dist_rows
 from .errors import GridMismatch, NonMonotoneProfile
 from .packing import exhaustive_max_packing, greedy_max_packing
-from .points import as_coords
 from .seeds import derive_seed
 
 
@@ -177,10 +176,12 @@ def local_entropy(
     eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
     if c <= 1:
         raise ValueError("entropy constant c must exceed 1")
+    ctr = None
     if mode == "adaptive":
         if center is None:
             raise ValueError("adaptive mode needs a center")
-        centers = np.atleast_2d(as_coords(center))
+        ctr = np.asarray(center, dtype=np.float64)
+        centers = np.atleast_2d(ctr)
     elif mode == "global":
         centers = _global_centers(body, budget, seed)
     else:
@@ -198,7 +199,6 @@ def local_entropy(
             if best >= pool_ceiling(budget.pool_size):
                 break
         log_m[i] = np.log(best)
-    ctr = as_coords(center) if (mode == "adaptive") else None
     return EntropyProfile(
         c=float(c), kind=mode, eps=eps_grid, log_m=log_m, exact=False,
         center=ctr, pool_size=budget.pool_size, seed=seed,
@@ -220,12 +220,12 @@ def exact_local_entropy(
     ball is found by branch and bound; the sup ranges over the candidates
     themselves in global mode.
     """
-    pts = np.stack([as_coords(p) for p in candidates])
+    if len(candidates) == 0:
+        raise ValueError("candidates must be nonempty")
+    pts = np.asarray(candidates, dtype=np.float64)
     eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
-    if mode == "adaptive":
-        centers = np.atleast_2d(as_coords(center))
-    else:
-        centers = pts
+    ctr = np.asarray(center, dtype=np.float64) if mode == "adaptive" else None
+    centers = pts if ctr is None else np.atleast_2d(ctr)
     log_m = np.zeros(len(eps_grid))
     for i, eps in enumerate(eps_grid):
         best = 0
@@ -236,7 +236,6 @@ def exact_local_entropy(
             pack = exhaustive_max_packing(body, inside, float(eps) / c)
             best = max(best, len(pack))
         log_m[i] = np.log(max(best, 1))
-    ctr = as_coords(center) if mode == "adaptive" else None
     return EntropyProfile(
         c=float(c), kind=mode, eps=eps_grid, log_m=log_m, exact=True,
         center=ctr, pool_size=len(pts), seed=0,

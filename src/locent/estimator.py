@@ -27,7 +27,6 @@ from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
 from .entropy import EntropyProfile
 from .errors import DataDimensionMismatch, IdenticalHypotheses, ProfileTooCoarse
 from .packing import greedy_max_packing
-from .points import MetricPoint, as_coords
 from .seeds import derive_seed
 
 LOG2 = float(np.log(2.0))
@@ -310,15 +309,16 @@ def run_algorithm1(
     stages: int,
     pool_budget: PoolBudget = PoolBudget(),
     seed: int = 0,
-    truth_injection: MetricPoint | None = None,
-    eval_truth: MetricPoint | None = None,
+    truth_injection=None,
+    eval_truth=None,
 ) -> EstimatorTrace:
     """Run the multiscale packing + least-squares selection estimator.
 
     ``stages`` is the trace length J: the anchor plus J-1 packing stages.
     ``truth_injection`` (oracle-validation only) adds the pull of the truth
     toward the current center into every pool; ``eval_truth`` only records
-    per-stage distances and never influences the run.
+    per-stage distances and never influences the run.  Both are member
+    rows (or lists).
     """
     if stages < 1:
         raise ValueError("need at least one stage")
@@ -328,7 +328,7 @@ def run_algorithm1(
     d = body.diameter()
     C = constants.C
 
-    cur = body.project(np.zeros(body.dim)).coords
+    cur = body.project(np.zeros(body.dim))
     ups = [cur]
     radii: list[float] = []
     sizes: list[int] = []
@@ -340,8 +340,8 @@ def run_algorithm1(
         pseed = derive_seed(seed, "stage", k, cur)
         extras = structured_candidates(body, cur, radius)
         if truth_injection is not None:
-            pulled = pull_into_ball(body, truth_injection.coords[None, :], cur, radius)
-            extras = np.vstack([extras, pulled])
+            inject = np.asarray(truth_injection, dtype=np.float64)[None, :]
+            extras = np.vstack([extras, pull_into_ball(body, inject, cur, radius)])
         rows = greedy_max_packing(
             body, cur, radius, separation, pseed, pool_budget.stage_size(k),
             extra_candidates=extras,
@@ -361,7 +361,7 @@ def run_algorithm1(
     upsilon = np.stack(ups)
     truth_d = None
     if eval_truth is not None:
-        truth_d = dist_rows(body, upsilon, eval_truth.coords)
+        truth_d = dist_rows(body, upsilon, np.asarray(eval_truth, dtype=np.float64))
     trace = EstimatorTrace(
         upsilon=upsilon,
         radii=radii,
@@ -377,18 +377,6 @@ def run_algorithm1(
 # ---------------------------------------------------------------------------
 # Stage schedules
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StageSchedule:
-    """eps_J ladder and the maximal J satisfying the stage condition."""
-
-    eps_j: np.ndarray
-    j_star: int
-
-    def __post_init__(self):
-        if self.j_star < 1:
-            raise ValueError("J* must be at least 1")
 
 
 def stage_eps(J: int, constants: RateConstants, diameter: float) -> float:
@@ -429,8 +417,8 @@ def stage_schedule(
     kind: str,
     diameter: float,
     max_stages: int = 200,
-) -> StageSchedule:
-    """Maximal J with n eps_J^2 > 2 log M(arg_J) or log 2.
+) -> int:
+    """J*, the maximal J with n eps_J^2 > 2 log M(arg_J) or log 2.
 
     kind "bounded"/"unbounded" reads a global profile at arg = d / 2^(J-2)
     (equal to eps_J c / sqrt(L)); kind "adaptive" reads an adaptive profile
@@ -440,6 +428,8 @@ def stage_schedule(
     """
     if kind not in ("bounded", "unbounded", "adaptive"):
         raise ValueError(f"unknown condition kind {kind!r}")
+    if max_stages < 1:
+        raise ValueError("max_stages must be at least 1")
 
     def holds(J: int) -> bool:
         arg = entropy_arg(J, diameter, kind)
@@ -452,14 +442,9 @@ def stage_schedule(
 
     j_star = 1
     if holds(1):
-        for J in range(2, max_stages + 1):
-            if not holds(J):
-                break
-            j_star = J
-        else:
-            j_star = max_stages
-    eps_j = [stage_eps(J, constants, diameter) for J in range(1, j_star + 1)]
-    return StageSchedule(eps_j=np.array(eps_j), j_star=j_star)
+        while j_star < max_stages and holds(j_star + 1):
+            j_star += 1
+    return j_star
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +472,7 @@ def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
     computed gap just below zero.
     """
     body.check_design(data.x)
-    fc, gc = as_coords(f), as_coords(g)
+    fc, gc = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
     if dist(body, fc, gc) == 0.0:
         raise IdenticalHypotheses("test needs two distinct hypotheses")
     x = data.x

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -47,7 +48,6 @@ from .estimator import (
     schedule_depth,
     stage_schedule,
 )
-from .points import MetricPoint, as_coords
 from .rates import RateFormula, theoretical_rate
 from .seeds import derive_seed, rng_for
 
@@ -72,10 +72,10 @@ class TruthSpec:
             raise ValueError(f"unknown truth kind {self.kind!r}")
 
 
-def make_truth(body: ConvexBody, spec: TruthSpec) -> MetricPoint:
+def make_truth(body: ConvexBody, spec: TruthSpec) -> np.ndarray:
     if spec.kind == "fixed":
-        pt = body.point(np.asarray(spec.coords, dtype=np.float64))
-        if not body.contains(pt):
+        pt = body.point(spec.coords)
+        if not body.contains_coords(pt):
             raise ValueError("fixed truth is not a class member")
         return pt
     if spec.kind == "sampled":
@@ -105,14 +105,15 @@ def draw_data(
     body: ConvexBody,
     design: DesignDistribution,
     noise: NoiseModel,
-    truth: MetricPoint,
+    truth,
     n: int,
     seed: int,
 ) -> RegressionData:
     """One observed sample: the body's design points plus noisy responses."""
     rng = rng_for(seed, "data")
     x = body.sample_design(n, design, rng)
-    return RegressionData(y=body.evaluate(x, truth.coords) + noise.sample(n, rng), x=x)
+    y = body.evaluate(x, np.asarray(truth, dtype=np.float64)) + noise.sample(n, rng)
+    return RegressionData(y=y, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateCon
         # the schedule's infimum over centers is approximated by the
         # least-entropy heuristic extreme point (vertices minimize it)
         ext = body.extreme_points()
-        center = ext[0] if len(ext) else body.project(np.zeros(body.dim)).coords
+        center = ext[0] if len(ext) else body.project(np.zeros(body.dim))
         return local_entropy(
             body, grid, 2.0 * constants.c, mode="adaptive", center=center,
             budget=cfg.profile_budget, seed=seed,
@@ -329,7 +330,7 @@ class ExperimentResult:
 
 
 def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
-              body: ConvexBody, truth: MetricPoint) -> float:
+              body: ConvexBody, truth) -> float:
     """One replicate's squared L2(P_X) risk; pure function of (config, n, rep)."""
     seed = derive_seed(cfg.master_seed, "cell", n, rep)
     data = draw_data(body, cfg.design, cfg.noise, truth, n, seed)
@@ -340,12 +341,13 @@ def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
     return dist(body, trace.final, truth) ** 2
 
 
-def _cell_or_nan(job: tuple) -> float:
-    """:func:`_run_cell` on one job tuple; a failed replicate gives NaN."""
+def _cell_or_nan(job: tuple) -> tuple[float, str]:
+    """:func:`_run_cell` on one job tuple, with the class name of the
+    exception that failed it; a failed replicate gives NaN."""
     try:
-        return _run_cell(*job)
-    except Exception:
-        return np.nan
+        return _run_cell(*job), ""
+    except Exception as exc:
+        return np.nan, type(exc).__name__
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -382,9 +384,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             if body.tag not in profiles:
                 profiles[body.tag] = schedule_profile(cfg, body, constants, kind,
                                                       last_n[body.tag])
-            sched = stage_schedule(profiles[body.tag], n, constants, kind, body.diameter(),
-                                   max_stages=cfg.max_stages)
-            stages = sched.j_star
+            stages = stage_schedule(profiles[body.tag], n, constants, kind,
+                                    body.diameter(), max_stages=cfg.max_stages)
         stages_used[n] = stages
         d2[n] = body.diameter() ** 2
         jobs += [(cfg, n, rep, stages, body, truth) for rep in range(cfg.replicates)]
@@ -396,10 +397,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             flat = list(pool.map(_cell_or_nan, jobs))
     else:
         flat = [_cell_or_nan(job) for job in jobs]
-    risks = dict(zip(cfg.n_grid, np.array(flat).reshape(len(cfg.n_grid), cfg.replicates)))
+    shape = (len(cfg.n_grid), cfg.replicates)
+    risks = dict(zip(cfg.n_grid, np.array([r for r, _ in flat]).reshape(shape)))
+    errors = dict(zip(cfg.n_grid, np.array([e for _, e in flat]).reshape(shape)))
     for n, out in risks.items():
         if not np.any(np.isfinite(out)):
-            raise InsufficientData(f"all replicates failed at n={n}")
+            why = Counter(e or "non-finite risk" for e in errors[n])
+            raise InsufficientData(f"all replicates failed at n={n}: "
+                                   + ", ".join(f"{e} x{k}" for e, k in why.items()))
 
     mean_risk = {n: float(np.nanmean(risks[n])) for n in cfg.n_grid}
     counts = {n: int(np.sum(np.isfinite(risks[n]))) for n in cfg.n_grid}
@@ -500,7 +505,7 @@ def check_norm_concentration(
     draws jointly through :func:`_pair_draws`, from their exact law where
     one is known.
     """
-    fc, gc, bc = as_coords(f), as_coords(g), as_coords(f_bar)
+    fc, gc, bc = (np.asarray(v, dtype=np.float64) for v in (f, g, f_bar))
     if n * dist(body, fc, gc) ** 2 < C * C * delta * delta:
         raise PreconditionViolated("need n ||f-g||^2 >= C^2 delta^2")
     if n * dist(body, fc, bc) ** 2 >= delta * delta:
@@ -580,7 +585,7 @@ def check_test_error(
     swapping f and g negates it bit for bit, and with the stream keyed by
     the truth the two reports mirror exactly whenever no trial ties.
     """
-    fc, gc, bc = as_coords(f), as_coords(g), as_coords(f_bar)
+    fc, gc, bc = (np.asarray(v, dtype=np.float64) for v in (f, g, f_bar))
     C = constants.C
     sep2 = n * dist(body, fc, gc) ** 2
     delta2 = sep2 / (C * C)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .bodies import ConvexBody, dist_rows, pull_into_ball
 from .errors import CapExceeded, DimensionMismatch, EmptyPool, NonmemberCenter
-from .points import as_coords
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
@@ -205,7 +204,7 @@ def exhaustive_max_packing(
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
-    pts = np.stack([as_coords(c) for c in candidates])
+    pts = np.asarray(candidates, dtype=np.float64)
     n = len(pts)
     if n > cap:
         raise CapExceeded(f"{n} candidates exceed cap {cap}")

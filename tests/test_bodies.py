@@ -14,6 +14,7 @@ from locent.bodies import (
     moment_ratio_check,
 )
 from locent.errors import DimensionMismatch
+from locent.harness import TruthSpec, make_truth
 
 ALL_BODIES = [
     LinearL1(5, 1.0),
@@ -35,9 +36,33 @@ def test_point_freezes_a_private_copy():
     x = np.zeros(3)
     pt = LinearL1(3).point(x)
     x[0] = 1.0
-    assert pt.coords[0] == 0.0
+    assert pt[0] == 0.0
     with pytest.raises(ValueError):
-        pt.coords[0] = 2.0
+        pt[0] = 2.0
+
+
+def test_point_rejects_wrong_shape_and_nonfinite():
+    body = LinearL1(3)
+    for bad in ([0.0, 0.0], np.zeros((1, 3)), 0.0):
+        with pytest.raises(DimensionMismatch):
+            body.point(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            body.point([0.0, value, 0.0])
+
+
+@pytest.mark.parametrize("body", ALL_BODIES, ids=IDS)
+def test_members_are_read_only_float64_rows(body):
+    truths = [TruthSpec("fixed", coords=tuple(body.sample_rows(1, np.random.default_rng(3))[0])),
+              TruthSpec("sampled", seed=5), TruthSpec("identity")]
+    if isinstance(body, LinearL1):
+        truths.append(TruthSpec("sparse", s=2, seed=6))
+    members = [body.point(np.zeros(body.dim, dtype=np.int64)),
+               body.project(np.ones(body.dim)), body.sample_member(4)]
+    for row in members + [make_truth(body, spec) for spec in truths]:
+        assert type(row) is np.ndarray
+        assert row.dtype == np.float64 and row.shape == (body.dim,)
+        assert not row.flags.writeable
 
 
 def test_dist_examples():
@@ -58,25 +83,25 @@ def test_dist_dimension_mismatch():
 
 def test_l1_projection_example_against_grid_oracle():
     body = LinearL1(2, 1.0)
-    got = body.project([2.0, 0.0]).coords
+    got = body.project([2.0, 0.0])
     assert np.allclose(got, [1.0, 0.0], atol=1e-12)
     # dense grid search over the ball confirms the closest point
     xs = np.linspace(-1, 1, 401)
     grid = np.array([(a, b) for a in xs for b in xs if abs(a) + abs(b) <= 1.0])
     target = np.array([0.7, -0.4])
     byhand = grid[np.argmin(((grid - target) ** 2).sum(axis=1))]
-    assert np.linalg.norm(body.project(target).coords - byhand) < 0.01
+    assert np.linalg.norm(body.project(target) - byhand) < 0.01
 
 
 def test_monotone_projection_examples():
     body = MonotoneGrid(1, 2)
-    assert np.allclose(body.project([2.0, 1.0]).coords, [1.0, 1.0])
-    assert np.allclose(body.project([0.8, 0.2]).coords, [0.5, 0.5])
+    assert np.allclose(body.project([2.0, 1.0]), [1.0, 1.0])
+    assert np.allclose(body.project([0.8, 0.2]), [0.5, 0.5])
     # 2-variable quadratic-program oracle on a dense feasible grid
     vals = np.linspace(0, 1, 201)
     feas = np.array([(a, b) for a in vals for b in vals if a <= b])
     for target in ([0.9, 0.1], [1.4, -0.2], [0.3, 0.8]):
-        got = body.project(target).coords
+        got = body.project(target)
         byhand = feas[np.argmin(((feas - np.array(target)) ** 2).sum(axis=1))]
         assert np.linalg.norm(got - byhand) < 0.02
 
@@ -85,7 +110,7 @@ def test_monotone_projection_examples():
 def test_projection_identity_on_members(body):
     rng = np.random.default_rng(1)
     for row in body.sample_rows(20, rng):
-        assert np.allclose(body.project(row).coords, row, atol=1e-8)
+        assert np.allclose(body.project(row), row, atol=1e-8)
 
 
 @pytest.mark.parametrize("body", ALL_BODIES, ids=IDS)
@@ -260,8 +285,8 @@ def test_two_seeds_differ_overwhelmingly():
     # the l1 projection has atoms at the vertices, so exact collisions can
     # occur; they must stay rare
     body = LinearL1(6, 1.0)
-    a = np.stack([body.sample_member(s).coords for s in range(1000)])
-    b = np.stack([body.sample_member(s + 10_000).coords for s in range(1000)])
+    a = np.stack([body.sample_member(s) for s in range(1000)])
+    b = np.stack([body.sample_member(s + 10_000) for s in range(1000)])
     collisions = int(np.sum(np.all(np.isclose(a, b, atol=1e-12), axis=1)))
     assert collisions <= 10
 

@@ -27,6 +27,7 @@ from locent.estimator import (
     pairwise_test_psi,
     run_algorithm1,
     schedule_depth,
+    stage_eps,
     stage_schedule,
     structured_candidates,
 )
@@ -95,8 +96,8 @@ def test_zero_noise_two_member_selection_picks_truth():
     f = body.point([0.2, 0.4])
     g = body.point([0.7, 0.9])
     idx = np.array([0, 1, 1, 0])
-    data = RegressionData(y=f.coords[idx], x=idx)
-    rss = data.rss(np.vstack([f.coords, g.coords]))
+    data = RegressionData(y=f[idx], x=idx)
+    rss = data.rss(np.vstack([f, g]))
     assert rss[0] == 0.0 and rss[1] > 0.0
 
 
@@ -108,7 +109,7 @@ def test_single_stage_returns_anchor_with_error_at_most_diameter():
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
     trace = run_algorithm1(body, data, consts, stages=1, seed=3, eval_truth=truth)
     assert trace.total_stages == 1
-    assert np.allclose(trace.final, body.project(np.zeros(body.dim)).coords)
+    assert np.allclose(trace.final, body.project(np.zeros(body.dim)))
     assert trace.truth_distances[0] <= body.diameter()
 
 
@@ -154,7 +155,7 @@ def test_every_iterate_is_member():
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
     trace = run_algorithm1(body, data, consts, stages=5, seed=6)
     for u in trace.upsilon:
-        assert body.contains(u)
+        assert body.contains_coords(u)
 
 
 def test_run_deterministic_bit_for_bit():
@@ -176,7 +177,7 @@ def test_zero_noise_injected_truth_final_distance_bound():
     truth = make_truth(body, TruthSpec("identity"))
     # deterministic full design: every node observed, empirical = population
     idx = np.tile(np.arange(body.dim), 8)
-    data = RegressionData(y=truth.coords[idx], x=idx)
+    data = RegressionData(y=truth[idx], x=idx)
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
     J = 5
     trace = run_algorithm1(body, data, consts, stages=J,
@@ -262,8 +263,8 @@ def test_psi_zero_noise_cases():
     f = body.point([0.0, 0.0])
     g = body.point([1.0, 1.0])
     idx = np.array([0, 1, 0, 1])
-    data_f = RegressionData(y=f.coords[idx], x=idx)
-    data_g = RegressionData(y=g.coords[idx], x=idx)
+    data_f = RegressionData(y=f[idx], x=idx)
+    data_g = RegressionData(y=g[idx], x=idx)
     assert pairwise_test_psi(body, f, g, data_f) is False
     assert pairwise_test_psi(body, f, g, data_g) is True
 
@@ -294,7 +295,7 @@ def test_psi_exact_ties_give_one():
             for _ in range(100):
                 idx = rng.integers(0, 2, size=n)
                 e = np.where(rng.permutation(n) < k, 1.0, -1.0)
-                data = RegressionData(y=truth.coords[idx] + e, x=idx)
+                data = RegressionData(y=truth[idx] + e, x=idx)
                 assert pairwise_test_psi(body, f, g, data) is want, (k, idx, e)
 
 
@@ -325,18 +326,26 @@ def test_schedule_singleton_profile_reduces_to_log2_condition():
     # logM = 0: condition becomes n eps_J^2 > log 2
     consts = RateConstants(C=4.0, L_paper=1.0)
     d, c, n = 1.0, consts.c, 100
-    sched = stage_schedule(flat_profile(c, 0.0), n, consts, "bounded", d)
+    J = stage_schedule(flat_profile(c, 0.0), n, consts, "bounded", d)
     eps = lambda J: d / (2.0 ** (J - 2) * c)
     explicit = max(J for J in range(1, 60) if n * eps(J) ** 2 > LOG2)
-    assert sched.j_star == explicit == 2
-    assert np.allclose(sched.eps_j, [eps(1), eps(2)])
+    assert J == explicit == 2
+    assert np.allclose([stage_eps(j, consts, d) for j in (1, 2)], [eps(1), eps(2)])
 
 
 def test_schedule_never_satisfied_gives_one():
     consts = RateConstants(C=4.0, L_paper=1.0)
     # constant profile k with n eps_1^2 <= log 2
-    sched = stage_schedule(flat_profile(consts.c, 5.0), 1, consts, "bounded", 0.5)
-    assert sched.j_star == 1
+    assert stage_schedule(flat_profile(consts.c, 5.0), 1, consts, "bounded", 0.5) == 1
+
+
+def test_schedule_rejects_max_stages_below_one():
+    consts = RateConstants(C=4.0, L_paper=1.0)
+    # n = 1 fails even J = 1, which used to hide the bad cap
+    for n in (1, 10_000):
+        with pytest.raises(ValueError, match="max_stages"):
+            stage_schedule(flat_profile(consts.c, 0.0), n, consts, "bounded", 1.0,
+                           max_stages=0)
 
 
 def test_schedule_power_profile_matches_direct_scan():
@@ -348,7 +357,7 @@ def test_schedule_power_profile_matches_direct_scan():
     eps_grid = np.geomspace(1e-5, 8.0, 120)
     prof = EntropyProfile(c=c, kind="global", eps=eps_grid,
                           log_m=eps_grid ** (-2.0 * (p - 1)), exact=True)
-    sched = stage_schedule(prof, n, consts, "bounded", d, max_stages=60)
+    j_star = stage_schedule(prof, n, consts, "bounded", d, max_stages=60)
 
     def eps_at(J):
         return d / (2.0 ** (J - 2) * c)
@@ -364,13 +373,13 @@ def test_schedule_power_profile_matches_direct_scan():
             explicit = J
         else:
             break
-    assert sched.j_star == explicit
+    assert j_star == explicit
     # the schedule's eps_J* is within one halving of the continuum crossing
     # of n eps^2 = 2 logM(kappa eps) with kappa = c / sqrt(L) = c
     kappa = c / np.sqrt(consts.L)
     from scipy.optimize import brentq
     root = brentq(lambda e: n * e * e - 2.0 * (kappa * e) ** (-2.0 * (p - 1)), 1e-6, 10.0)
-    assert 0.5 * root <= sched.eps_j[-1] <= 2.0 * root
+    assert 0.5 * root <= stage_eps(j_star, consts, d) <= 2.0 * root
 
 
 def test_schedule_profile_too_coarse():
@@ -398,8 +407,8 @@ def test_schedule_prefix_gives_the_ladder_j_star(kind, max_stages):
         keep = np.isin(ladder, [entropy_arg(J, d, kind) for J in range(1, depth + 1)])
         assert keep.sum() == depth
         prefix = EntropyProfile(c=c, kind=kind, eps=ladder[keep], log_m=log_m[keep])
-        j_star = stage_schedule(full, n, consts, kind, d, max_stages=max_stages).j_star
-        assert stage_schedule(prefix, n, consts, kind, d, max_stages=max_stages).j_star == j_star
+        j_star = stage_schedule(full, n, consts, kind, d, max_stages=max_stages)
+        assert stage_schedule(prefix, n, consts, kind, d, max_stages=max_stages) == j_star
         assert j_star <= depth
         seen.add((depth, j_star))
     assert (1, 1) in seen  # J = 1 fails the log-2 floor: a one-point profile
@@ -425,8 +434,7 @@ def test_schedule_adaptive_uses_doubled_argument():
     prof = EntropyProfile(c=c2, kind="adaptive", eps=np.array([0.01, 3.0, 3.01, 8.0]),
                           log_m=np.array([0.0, 0.0, 50.0, 50.0]), exact=False,
                           center=np.zeros(1))
-    adaptive = stage_schedule(prof, n, consts, "adaptive", d)
-    assert adaptive.j_star == 1  # blocked by the huge entropy at arg 4
+    # blocked by the huge entropy at arg 4
+    assert stage_schedule(prof, n, consts, "adaptive", d) == 1
     prof_b = EntropyProfile(c=consts.c, kind="global", eps=prof.eps, log_m=prof.log_m)
-    bounded = stage_schedule(prof_b, n, consts, "bounded", d)
-    assert bounded.j_star == 2  # argument 2 sees zero entropy
+    assert stage_schedule(prof_b, n, consts, "bounded", d) == 2  # argument 2 sees zero entropy

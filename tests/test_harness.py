@@ -65,15 +65,15 @@ def test_slope_degenerate_and_preconditions():
 def test_sparse_truth_on_l1_sphere():
     body = LinearL1(16, 1.0)
     t = make_truth(body, TruthSpec("sparse", s=3, seed=4))
-    assert np.isclose(np.abs(t.coords).sum(), 1.0)
-    assert np.count_nonzero(t.coords) == 3
+    assert np.isclose(np.abs(t).sum(), 1.0)
+    assert np.count_nonzero(t) == 3
 
 
 def test_identity_truth_monotone():
     body = MonotoneGrid(1, 4)
     t = make_truth(body, TruthSpec("identity"))
-    assert np.allclose(t.coords, [(2 * j - 1) / 8 for j in range(1, 5)])
-    assert body.contains(t)
+    assert np.allclose(t, [(2 * j - 1) / 8 for j in range(1, 5)])
+    assert body.contains_coords(t)
 
 
 def test_fixed_truth_membership_checked():
@@ -93,7 +93,7 @@ def test_draw_data_grid_and_linear():
         d = draw_data(body, DesignDistribution(design), NoiseModel("gaussian", 0.0), t, 32,
                       seed=1)
         assert len(d.y) == len(d.x) == 32
-        assert np.array_equal(d.y, body.evaluate(d.x, t.coords)), body.kind
+        assert np.array_equal(d.y, body.evaluate(d.x, t)), body.kind
         body.check_design(d.x)
 
 
@@ -228,12 +228,14 @@ def test_experiment_failure_isolation(monkeypatch):
 
 
 def test_experiment_all_failures_raise(monkeypatch):
+    # the message names why the replicates failed, on the pool path too
     def broken(*a, **k):
         raise RuntimeError("nope")
 
     monkeypatch.setattr(harness, "_run_cell", broken)
-    with pytest.raises(InsufficientData):
-        run_experiment(small_config())
+    for threads in (1, 2):
+        with pytest.raises(InsufficientData, match="failed at n=32: RuntimeError x3"):
+            run_experiment(small_config(), threads=threads)
 
 
 def test_experiment_single_replicate_has_no_standard_error(monkeypatch):

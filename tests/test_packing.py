@@ -10,6 +10,7 @@ import pytest
 import locent
 from locent import packing
 from locent.bodies import HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist, dist_rows
+from locent.entropy import exact_local_entropy
 from locent.errors import CapExceeded, NonmemberCenter
 from locent.packing import (
     exhaustive_max_packing,
@@ -101,6 +102,8 @@ def test_exhaustive_examples():
 def test_exhaustive_rejects_empty_candidates():
     with pytest.raises(ValueError, match="candidates must be nonempty"):
         exhaustive_max_packing(LinearL1(1, 2.0), [], 0.5)
+    with pytest.raises(ValueError, match="candidates must be nonempty"):
+        exact_local_entropy(LinearL1(1, 2.0), [], [0.5], c=2.0)
 
 
 def test_validate_raises_on_non_maximal_selection(monkeypatch):
