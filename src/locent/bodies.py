@@ -19,12 +19,13 @@ for the linear kinds, node indices for the grid kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import projections as proj
 from .errors import DataDimensionMismatch, Degenerate, DimensionMismatch
+from .seeds import canonical_json
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -534,6 +535,9 @@ class MomentReport:
 
     def passed(self, cap: float) -> bool:
         return self.alpha_hat <= cap
+
+    def to_json(self) -> str:
+        return canonical_json(asdict(self))
 
 
 def moment_ratio_check(

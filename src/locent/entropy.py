@@ -180,7 +180,7 @@ def local_entropy(
     if mode == "adaptive":
         if center is None:
             raise ValueError("adaptive mode needs a center")
-        ctr = np.asarray(center, dtype=np.float64)
+        ctr = body.point(center)
         centers = np.atleast_2d(ctr)
     elif mode == "global":
         centers = _global_centers(body, budget, seed)
@@ -224,7 +224,7 @@ def exact_local_entropy(
         raise ValueError("candidates must be nonempty")
     pts = np.asarray(candidates, dtype=np.float64)
     eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
-    ctr = np.asarray(center, dtype=np.float64) if mode == "adaptive" else None
+    ctr = body.point(center) if mode == "adaptive" else None
     centers = pts if ctr is None else np.atleast_2d(ctr)
     log_m = np.zeros(len(eps_grid))
     for i, eps in enumerate(eps_grid):

@@ -9,10 +9,6 @@ class NonmemberCenter(LocentError):
     """Ball center does not belong to the class body."""
 
 
-class EmptyPool(LocentError):
-    """No candidate of the packing pool lies inside ball and class."""
-
-
 class CapExceeded(LocentError):
     """Candidate count exceeds the exhaustive-search cap."""
 

@@ -18,7 +18,6 @@ adaptive entropy profile at argument 2 eps_J c / sqrt(L) with constant 2c.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
 from .entropy import EntropyProfile
 from .errors import DataDimensionMismatch, IdenticalHypotheses, ProfileTooCoarse
 from .packing import greedy_max_packing
-from .seeds import derive_seed
+from .seeds import canonical_json, derive_seed
 
 LOG2 = float(np.log(2.0))
 CAUCHY_RTOL = 1e-9  # relative slack of the trace invariants for rounding
@@ -294,7 +293,7 @@ class EstimatorTrace:
         }
         if self.truth_distances is not None:
             payload["truth_distances"] = [float(t) for t in self.truth_distances]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -49,7 +48,7 @@ from .estimator import (
     stage_schedule,
 )
 from .rates import RateFormula, theoretical_rate
-from .seeds import derive_seed, rng_for
+from .seeds import canonical_json, derive_seed, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +190,13 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """Hash of every field, nested records included, as canonical JSON."""
-        blob = json.dumps(_plain(asdict(self)), sort_keys=True, separators=(",", ":"))
+        blob = canonical_json(asdict(self), default=_plain)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _plain(v):
-    """JSON-ready copy of a value: arrays and tuples become lists."""
-    if isinstance(v, np.ndarray):
-        return [float(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, dict):
-        return {k: _plain(x) for k, x in sorted(v.items())}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    return v
+    """JSON form of the numpy values a config may hold: floats and float lists."""
+    return [float(x) for x in v] if isinstance(v, np.ndarray) else float(v)
 
 
 def body_for_n(cfg: ExperimentConfig, n: int) -> ConvexBody:
@@ -230,9 +221,13 @@ def constants_for(cfg: ExperimentConfig, body: ConvexBody) -> RateConstants:
 
 
 def resolve_condition_kind(cfg: ExperimentConfig, body: ConvexBody) -> str:
-    if cfg.condition_kind != "auto":
-        return cfg.condition_kind
-    return "bounded" if body.sup_bound is not None else "unbounded"
+    """``auto`` reads as the class's regime, which ``bounded`` and ``unbounded``
+    must name: :func:`constants_for` takes the constants from the class."""
+    regime = "bounded" if body.sup_bound is not None else "unbounded"
+    if cfg.condition_kind not in ("auto", "adaptive", regime):
+        raise ValueError(f"condition kind {cfg.condition_kind!r} contradicts the {regime} "
+                         f"class {cfg.body_kind}")
+    return regime if cfg.condition_kind == "auto" else cfg.condition_kind
 
 
 def schedule_grid(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
@@ -326,7 +321,7 @@ class ExperimentResult:
             "std_error": {str(k): self.std_error[k] for k in self.n_grid},
             "theory": {str(k): v for k, v in self.theory_values.items()},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
 
 def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import ConvexBody, dist_rows, pull_into_ball
-from .errors import CapExceeded, DimensionMismatch, EmptyPool, NonmemberCenter
+from .errors import CapExceeded, DimensionMismatch, NonmemberCenter
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
@@ -167,12 +167,10 @@ def greedy_max_packing(
     if not body.contains_coords(center):
         raise NonmemberCenter("ball center fails class membership")
     pool = build_pool(body, center, radius, pool_seed, pool_size, extra_candidates)
-    if validate:
-        # contraction of members toward a member stays in the convex body,
-        # so this only guards against numerical surprises
-        pool = pool[np.array([body.contains_coords(r) for r in pool], dtype=bool)]
-    if len(pool) == 0:
-        raise EmptyPool("no pool candidate lies in ball and class")
+    # contraction of members toward a member stays in the convex body, so
+    # this only guards against numerical surprises
+    if validate and not all(body.contains_coords(r) for r in pool):
+        raise RuntimeError("greedy packing pool holds a nonmember row")
     # a non-finite row would screen as conflict-free and be kept as a center
     if not np.isfinite(pool).all():
         raise ValueError("pool candidates must be finite")

@@ -9,13 +9,13 @@ eps^2 / (8 c^2).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .entropy import EntropyProfile
 from .errors import BadParams, NoValidIndex
+from .seeds import canonical_json
 
 LOG2 = float(np.log(2.0))
 BISECT_STEPS = 200  # halvings of a log-eps bracket, past machine precision
@@ -33,28 +33,13 @@ class RateCertificate:
     lower_bound_risk: float | None = None
     upper_rate: float | None = None
     diameter: float | None = None
-    bracket_lo: float | None = None
-    bracket_hi: float | None = None
+    bracket: tuple[float | None, float | None] = (None, None)
     empty_crossing: bool = False
     regime: str = ""
     profile_digest: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "eps_star": self.eps_star,
-            "n": self.n,
-            "c": self.c,
-            "sigma": self.sigma,
-            "lower_eps": self.lower_eps,
-            "lower_bound_risk": self.lower_bound_risk,
-            "upper_rate": self.upper_rate,
-            "diameter": self.diameter,
-            "bracket": [self.bracket_lo, self.bracket_hi],
-            "empty_crossing": self.empty_crossing,
-            "regime": self.regime,
-            "profile_digest": self.profile_digest,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(asdict(self))
 
 
 def _bisect_decreasing(fn, t_lo: float, t_hi: float):
@@ -99,7 +84,6 @@ def solve_eps_star(
         return n * eps * eps - prof.value(eps)
 
     e = prof.eps
-    tol = 1e-9 * (diameter if diameter else 1.0)
 
     if phi(np.log(e[0])) > 0.0:
         eps_star = float(np.sqrt(prof.log_m[0] / n))  # constant extension below grid
@@ -116,9 +100,6 @@ def solve_eps_star(
         eps_star = float(np.exp(0.5 * (lo + hi)))
 
     bracket_lo, bracket_hi = float(np.exp(lo)), float(np.exp(hi))
-    if bracket_hi - bracket_lo > tol:
-        lo, hi = _bisect_decreasing(lambda t: -phi(t), lo, hi)
-        bracket_lo, bracket_hi = float(np.exp(lo)), float(np.exp(hi))
     # the upper bracket end must fail the fixed-point inequality strictly
     for _ in range(64):
         if n * bracket_hi * bracket_hi > prof.value(bracket_hi):
@@ -133,7 +114,7 @@ def solve_eps_star(
         eps_star=eps_star, n=n, c=prof.c, sigma=sigma,
         lower_eps=lower_eps, lower_bound_risk=lower_risk,
         upper_rate=upper, diameter=diameter,
-        bracket_lo=bracket_lo, bracket_hi=bracket_hi,
+        bracket=(bracket_lo, bracket_hi),
         regime=regime, profile_digest=digest,
     )
 

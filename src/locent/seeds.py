@@ -1,14 +1,17 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and canonical JSON.
 
 Every random stream in the package is a pure function of a master seed and a
 tuple of labels (ints, strings, or coordinate arrays).  Child seeds are the
 first 8 bytes of a SHA-256 over the canonical encoding of the labels, so the
-scheme is splittable and stable across runs, platforms, and versions.
+scheme is splittable and stable across runs, platforms, and versions.  Every
+JSON artefact and digest is written by :func:`canonical_json`, so equal
+payloads give equal bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -41,3 +44,9 @@ def derive_seed(master: int, *parts) -> int:
 def rng_for(master: int, *parts) -> np.random.Generator:
     """Generator seeded by :func:`derive_seed`."""
     return np.random.default_rng(derive_seed(master, *parts))
+
+
+def canonical_json(payload, default=None) -> str:
+    """Sorted keys, no whitespace: the one JSON form of every artefact;
+    ``default`` converts values ``json`` cannot (see :func:`json.dumps`)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=default)

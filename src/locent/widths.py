@@ -12,12 +12,12 @@ solved exactly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InnerOptFailure
+from .seeds import canonical_json
 
 
 @dataclass
@@ -25,19 +25,10 @@ class WidthEstimate:
     value: float
     std_error: float
     draws: int
-    set_descriptor: str
+    set: str  # the width set's name
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "std_error": self.std_error,
-                "draws": self.draws,
-                "set": self.set_descriptor,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json(asdict(self))
 
 
 class WidthSet:
@@ -182,6 +173,8 @@ def gaussian_width(width_set: WidthSet, draws: int = 4096, seed: int = 0) -> Wid
     Draws are a pure function of (seed, p), so estimates for sets of the same
     ambient dimension and seed share common random numbers.
     """
+    if draws < 2:
+        raise ValueError("need draws >= 2 for a standard error")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((draws, width_set.p))
     sup = width_set.scale * width_set.support_rows(G)
@@ -189,7 +182,7 @@ def gaussian_width(width_set: WidthSet, draws: int = 4096, seed: int = 0) -> Wid
         value=float(sup.mean()),
         std_error=float(sup.std(ddof=1) / np.sqrt(draws)),
         draws=draws,
-        set_descriptor=width_set.name,
+        set=width_set.name,
     )
 
 

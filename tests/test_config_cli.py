@@ -376,3 +376,50 @@ def test_cli_moment_check(tmp_path):
     main(["--config", str(p), "--out", out, "moment-check", "--trials", "20000"])
     rep = json.loads(open(os.path.join(out, "moment.json")).read())
     assert rep["alpha_hat"] > 0 and rep["pairs"] == 8
+
+
+# every subcommand's own flags with their defaults, besides the global ones
+SUBCOMMAND_DEFAULTS = {
+    "entropy": {"n": None},
+    "eps-star": {"n": None},
+    "certify-lower": {"n": None},
+    "estimate": {"n": None},
+    "experiment": {},
+    "widths": {"draws": 4096},
+    "check-concentration": {"n": None, "trials": 10_000},
+    "check-test": {"n": None, "trials": 10_000},
+    "moment-check": {"trials": 100_000},
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_DEFAULTS))
+def test_cli_flags_and_defaults(command):
+    args = vars(cli.build_parser().parse_args([command]))
+    assert args.pop("func") is getattr(cli, "cmd_" + command.replace("-", "_"))
+    assert args == {"config": None, "seed": None, "out": "out", "threads": 1,
+                    "command": command, **SUBCOMMAND_DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-test", "--trials", "0"],  # died unpacking an empty chunk list
+    ["check-concentration", "--trials", "-1"],
+    ["moment-check", "--trials", "0"],
+    ["estimate", "--n", "0"],  # ran at max(n_grid)
+    ["estimate", "--n", "-4"],  # raised a numpy TypeError
+    ["widths", "--draws", "0"],
+    ["--threads", "0", "experiment"],  # ran serially
+], ids=["trials-0", "trials-negative", "moment-trials-0", "n-0", "n-negative", "draws-0",
+        "threads-0"])
+def test_cli_counts_below_one_fail_at_parse(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "o"), *argv])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_widths_needs_two_draws(tmp_path):
+    # one draw used to write a bare NaN standard error
+    with pytest.raises(ValueError, match="draws >= 2"):
+        main(["--out", str(tmp_path / "o"), "widths", "--draws", "1"])
+    assert not (tmp_path / "o").exists()

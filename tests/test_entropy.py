@@ -288,3 +288,21 @@ def test_saturated_is_derived_and_survives_csv_and_monotonization():
     exact = EntropyProfile(c=2.0, kind="global", eps=[0.5, 1.0], log_m=np.log([3.0, 2.0]),
                            exact=True, pool_size=2)
     assert not exact.saturated.any() and exact.saturated.shape == (2,)
+
+
+def test_adaptive_profiles_keep_a_private_center():
+    # a write to the caller's array after the call used to move p.center
+    # away from the value its center_id was computed from
+    body = LinearL1(3)
+    cands = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for build in (
+        lambda x: local_entropy(body, [0.5, 1.0], 2.0, mode="adaptive", center=x,
+                                budget=EntropyBudget(pool_size=16)),
+        lambda x: exact_local_entropy(body, cands, [0.5, 1.0], 2.0, mode="adaptive", center=x),
+    ):
+        x = np.array([1.0, 0.0, 0.0])
+        prof = build(x)
+        x[0] = 0.5
+        assert np.array_equal(prof.center, [1.0, 0.0, 0.0])
+        assert not prof.center.flags.writeable
+        assert prof.to_csv() == build(np.array([1.0, 0.0, 0.0])).to_csv()

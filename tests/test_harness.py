@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -203,6 +204,21 @@ def test_experiment_builds_the_schedule_prefix(monkeypatch, kw):
         expected.append((tag, sorted(entropy_arg(J, d, kind) for J in read)))
     assert grids == expected
     assert all(len(grid) < cfg.max_stages + 3 for _, grid in grids)
+
+
+def test_condition_kind_must_name_the_class_regime():
+    # the constants follow the class either way, so a contradicting kind used
+    # to run with the other regime's constants under its own profile label
+    with pytest.raises(ValueError, match="'unbounded' contradicts the bounded class"):
+        run_experiment(small_config(condition_kind="unbounded"))
+    cfg = small_config(body_kind="linear_l1", body_params={"p": 4}, condition_kind="bounded",
+                       theory=None, theory_params={})
+    with pytest.raises(ValueError, match="'bounded' contradicts the unbounded class"):
+        harness.resolve_condition_kind(cfg, body_for_n(cfg, 32))
+    for kind, want in (("auto", "unbounded"), ("unbounded", "unbounded"),
+                       ("adaptive", "adaptive")):
+        cfg = dataclasses.replace(cfg, condition_kind=kind)
+        assert harness.resolve_condition_kind(cfg, body_for_n(cfg, 32)) == want
 
 
 def test_experiment_failure_isolation(monkeypatch):

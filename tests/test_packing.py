@@ -117,6 +117,16 @@ def test_validate_raises_on_non_maximal_selection(monkeypatch):
                                   pool_size=128)) == 1
 
 
+def test_validate_raises_on_a_nonmember_pool_row(monkeypatch):
+    # validation used to drop such a row and select from the rest, so the
+    # validated path could select differently from the unvalidated one
+    build = packing.build_pool
+    monkeypatch.setattr(packing, "build_pool", lambda *a: np.vstack([build(*a), [[2.0]]]))
+    with pytest.raises(RuntimeError, match="nonmember"):
+        greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3, pool_size=128,
+                           validate=True)
+
+
 def test_exhaustive_cap():
     seg = LinearL1(1, 2.0)
     pts = [seg.point([x]) for x in np.linspace(-1, 1, 25)]

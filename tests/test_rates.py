@@ -46,9 +46,10 @@ def test_eps_star_bracketing_invariant():
     prof = power_profile(1.0)
     n = 12345
     cert = solve_eps_star(prof, n, diameter=2.0)
-    assert cert.bracket_hi - cert.bracket_lo <= 1e-9 * 2.0
-    assert n * cert.bracket_lo ** 2 <= prof.value(cert.bracket_lo) + 1e-9
-    assert n * cert.bracket_hi ** 2 > prof.value(cert.bracket_hi)
+    lo, hi = cert.bracket
+    assert hi - lo <= 1e-9 * 2.0
+    assert n * lo ** 2 <= prof.value(lo) + 1e-9
+    assert n * hi ** 2 > prof.value(hi)
 
 
 def test_eps_star_empty_crossing():

@@ -26,6 +26,12 @@ def test_unit_disk_width_closed_form():
     assert est.std_error > 0 and est.draws == 4096
 
 
+def test_width_needs_two_draws():
+    # one draw used to give a NaN standard error with a RuntimeWarning
+    with pytest.raises(ValueError, match="draws >= 2"):
+        gaussian_width(L2Ball(2), draws=1, seed=0)
+
+
 def test_singleton_zero():
     assert gaussian_width(Singleton([0.0, 0.0, 0.0]), draws=64, seed=0).value == 0.0
 
