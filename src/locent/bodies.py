@@ -533,9 +533,6 @@ class MomentReport:
     pairs: int
     trials: int
 
-    def passed(self, cap: float) -> bool:
-        return self.alpha_hat <= cap
-
     def to_json(self) -> str:
         return canonical_json(asdict(self))
 

@@ -6,10 +6,10 @@ check-concentration, check-test, moment-check.  Global flags: --config,
 returns its files as {name: text}; they are written under --out, with
 deterministic content for fixed config and seed, and their paths printed.
 Counts (--n, --trials, --draws, --threads) must be at least 1.
-estimate reads the schedule profile that a sweep builds at the given n: the
-points its schedule can read.  entropy, eps-star and certify-lower read the
-same profile on the whole ladder; on adaptive configs certify-lower reads a
-global one.
+estimate --n N runs replicate 0 of the sweep cell at N: its stage count J* is
+read off the schedule profile the sweep builds, the points its schedule can
+read.  entropy, eps-star and certify-lower read the same profile on the whole
+ladder; on adaptive configs certify-lower reads a global one.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ import numpy as np
 
 from . import config as cfgmod
 from .bodies import dist, moment_ratio_check
-from .estimator import run_algorithm1, stage_schedule
+from .estimator import stage_schedule
 from .harness import (
     ExperimentConfig,
     body_for_n,
     check_norm_concentration,
     check_test_error,
     constants_for,
-    draw_data,
     make_truth,
     resolve_condition_kind,
     run_experiment,
+    run_replicate,
     schedule_profile,
 )
 from .rates import certify_lower_bound, solve_eps_star
@@ -92,16 +92,9 @@ def cmd_certify_lower(args):
 
 def cmd_estimate(args):
     cfg, n, body, constants, kind = _setup(args)
-    truth = make_truth(body, cfg.truth)
-    seed = derive_seed(cfg.master_seed, "cli-estimate", n)
-    data = draw_data(body, cfg.design, cfg.noise, truth, n, seed)
-    stages = cfg.stages
-    if stages is None:
-        prof = schedule_profile(cfg, body, constants, kind, n)
-        stages = stage_schedule(prof, n, constants, kind, body.diameter(),
-                                max_stages=cfg.max_stages)
-    trace = run_algorithm1(body, data, constants, stages, cfg.pool,
-                           seed=derive_seed(seed, "run"), eval_truth=truth)
+    prof = schedule_profile(cfg, body, constants, kind, n)
+    stages = stage_schedule(prof, n, constants, kind, body.diameter(), max_stages=cfg.max_stages)
+    trace = run_replicate(cfg, n, 0, stages, body, make_truth(body, cfg.truth))
     return {"trace.json": trace.to_json()}
 
 
@@ -150,7 +143,7 @@ COMMANDS = {
     "entropy": (cmd_entropy, "emit a greedy local-entropy profile CSV", {"n": None}),
     "eps-star": (cmd_eps_star, "fixed-point rate certificate JSON", {"n": None}),
     "certify-lower": (cmd_certify_lower, "Fano-style lower-bound report", {"n": None}),
-    "estimate": (cmd_estimate, "single estimator run, trace JSON", {"n": None}),
+    "estimate": (cmd_estimate, "replicate 0 of the sweep cell at --n, trace JSON", {"n": None}),
     "experiment": (cmd_experiment, "full Monte Carlo sweep", {}),
     "widths": (cmd_widths, "Gaussian width estimates JSON", {"draws": 4096}),
     "check-concentration": (cmd_check_concentration, "empirical norm concentration",

@@ -27,15 +27,15 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _auto_or(parse, auto):
-    return lambda text: auto if text.strip().lower() == "auto" else parse(text)
+def _int_or_auto(text: str):
+    return "auto" if text.strip().lower() == "auto" else int(text)
 
 
 # (section, key) -> (field path, parser); configparser lowercases keys
 KEYS = {
     ("class", "kind"): ("body_kind", str),
     ("class", "p"): ("body_params.p", int),
-    ("class", "m"): ("body_params.m", _auto_or(int, "auto")),
+    ("class", "m"): ("body_params.m", _int_or_auto),
     ("class", "radius"): ("body_params.radius", float),
     ("class", "a"): ("body_params.a", _floats),
     ("class", "alpha"): ("body_params.alpha", float),
@@ -51,7 +51,6 @@ KEYS = {
     ("experiment", "replicates"): ("replicates", int),
     ("experiment", "master_seed"): ("master_seed", int),
     ("experiment", "condition_kind"): ("condition_kind", str),
-    ("experiment", "stages"): ("stages", _auto_or(int, None)),
     ("experiment", "theory"): ("theory", str),
     ("experiment", "theory_s"): ("theory_params.s", int),
     ("experiment", "theory_p"): ("theory_params.p", int),

@@ -37,6 +37,7 @@ from .errors import (
     UnboundedClassWithoutMomentConstant,
 )
 from .estimator import (
+    EstimatorTrace,
     NoiseModel,
     PoolBudget,
     RateConstants,
@@ -162,7 +163,6 @@ class ExperimentConfig:
     b: float = 0.125
     alpha_moment: float = 1.0
     condition_kind: str = "auto"  # bounded | unbounded | adaptive | auto
-    stages: int | None = None  # fixed stage count overrides the schedule
     max_stages: int = 14
     pool: PoolBudget = PoolBudget()
     profile_budget: EntropyBudget = EntropyBudget(pool_size=192, centers=4)
@@ -180,8 +180,6 @@ class ExperimentConfig:
             raise ValueError("replicates >= 1")
         if self.max_stages < 1:
             raise ValueError("max_stages >= 1")
-        if self.stages is not None and self.stages < 1:
-            raise ValueError("stages >= 1")
         if any(nxt <= prev for prev, nxt in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.truth.kind == "sparse" and "p" in self.body_params:
@@ -324,16 +322,21 @@ class ExperimentResult:
         return canonical_json(payload)
 
 
-def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
-              body: ConvexBody, truth) -> float:
-    """One replicate's squared L2(P_X) risk; pure function of (config, n, rep)."""
+def run_replicate(cfg: ExperimentConfig, n: int, rep: int, stages: int,
+                  body: ConvexBody, truth) -> EstimatorTrace:
+    """Replicate ``rep`` of the sweep cell at n: its own data draw and
+    estimator run, with per-stage distances to the truth; a pure function of
+    (config, n, rep, stages)."""
     seed = derive_seed(cfg.master_seed, "cell", n, rep)
     data = draw_data(body, cfg.design, cfg.noise, truth, n, seed)
-    constants = constants_for(cfg, body)
-    trace = run_algorithm1(
-        body, data, constants, stages, cfg.pool, seed=derive_seed(seed, "run")
-    )
-    return dist(body, trace.final, truth) ** 2
+    return run_algorithm1(body, data, constants_for(cfg, body), stages, cfg.pool,
+                          seed=derive_seed(seed, "run"), eval_truth=truth)
+
+
+def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
+              body: ConvexBody, truth) -> float:
+    """One replicate's squared L2(P_X) risk."""
+    return dist(body, run_replicate(cfg, n, rep, stages, body, truth).final, truth) ** 2
 
 
 def _cell_or_nan(job: tuple) -> tuple[float, str]:
@@ -373,14 +376,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         truth = make_truth(body, cfg.truth)
         constants = constants_for(cfg, body)
         kind = resolve_condition_kind(cfg, body)
-        if cfg.stages is not None:
-            stages = cfg.stages
-        else:
-            if body.tag not in profiles:
-                profiles[body.tag] = schedule_profile(cfg, body, constants, kind,
-                                                      last_n[body.tag])
-            stages = stage_schedule(profiles[body.tag], n, constants, kind,
-                                    body.diameter(), max_stages=cfg.max_stages)
+        if body.tag not in profiles:
+            profiles[body.tag] = schedule_profile(cfg, body, constants, kind,
+                                                  last_n[body.tag])
+        stages = stage_schedule(profiles[body.tag], n, constants, kind,
+                                body.diameter(), max_stages=cfg.max_stages)
         stages_used[n] = stages
         d2[n] = body.diameter() ** 2
         jobs += [(cfg, n, rep, stages, body, truth) for rep in range(cfg.replicates)]

@@ -27,9 +27,6 @@ def derive_seed(master: int, *parts) -> int:
         elif isinstance(part, str):
             h.update(b"s")
             h.update(part.encode("utf-8"))
-        elif isinstance(part, bytes):
-            h.update(b"b")
-            h.update(part)
         elif isinstance(part, np.ndarray):
             h.update(b"a")
             h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())

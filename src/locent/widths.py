@@ -12,12 +12,11 @@ solved exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InnerOptFailure
-from .seeds import canonical_json
 
 
 @dataclass
@@ -26,9 +25,6 @@ class WidthEstimate:
     std_error: float
     draws: int
     set: str  # the width set's name
-
-    def to_json(self) -> str:
-        return canonical_json(asdict(self))
 
 
 class WidthSet:

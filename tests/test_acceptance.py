@@ -6,8 +6,8 @@ a few minutes total.
 """
 
 import json
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,7 +432,7 @@ def test_acceptance_13_reproducibility(tmp_path):
     cli_main(["--config", str(cfg), "--out", out2, "experiment"])
     same = True
     for name in ("results.csv", "summary.csv", "manifest.json"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         same &= b1 == b2
     report(13, same, "two experiment runs byte-identical (results, summary, manifest)")

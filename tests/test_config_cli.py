@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import locent.harness as harness
-from locent.bodies import make_body
+from locent.bodies import LinearEllipsoid, dist, make_body
 from locent import cli
 from locent.cli import main
 from locent.config import KEYS, load_config_text
@@ -148,19 +148,28 @@ def test_unknown_kind_values_fail_at_load(text, value):
 
 @pytest.mark.parametrize("text, message", [
     ("[budget]\nmax_stages = 0\n", "max_stages >= 1"),
-    ("[experiment]\nstages = 0\n", "stages >= 1"),
     ("[budget]\npool_size = 0\n", "pool size and cap must be >= 1"),
     ("[budget]\npool_growth = -1\n", "pool growth must be > 0"),
     ("[budget]\npool_cap = 0\n", "pool size and cap must be >= 1"),
     ("[budget]\nprofile_pool = 0\n", "profile pool size must be >= 1"),
     ("[budget]\nprofile_centers = -3\n", "profile centers must be >= 0"),
-], ids=["max_stages", "stages", "pool_size", "pool_growth", "pool_cap", "profile_pool",
+], ids=["max_stages", "pool_size", "pool_growth", "pool_cap", "profile_pool",
         "profile_centers"])
 def test_settings_below_their_minimum_fail_at_load(text, message):
     # each used to load and then fail mid-sweep, end as all-NaN replicates,
     # or (a negative center count) run as if it were 0
     with pytest.raises(ValueError, match=message):
         load_config_text(text)
+
+
+def test_ellipsoid_theory_reads_the_class():
+    given = load_config_text("[class]\nkind = linear_ellipsoid\na = 0.25 1.0\n"
+                             "[experiment]\ntheory = ellipsoid\n")
+    assert given.theory_params == {"a": [0.25, 1.0]}
+    assert np.array_equal(harness.body_for_n(given, 64).a, [0.25, 1.0])
+    sobolev = load_config_text("[class]\nkind = linear_ellipsoid\np = 6\n"
+                               "[experiment]\ntheory = ellipsoid\n")
+    assert sobolev.theory_params == {"a": LinearEllipsoid.sobolev(6).a.tolist()}
 
 
 def test_sparse_theory_needs_its_keys():
@@ -197,7 +206,6 @@ PROBES = {
     ("experiment", "replicates"): ("3", {}),
     ("experiment", "master_seed"): ("1", {}),
     ("experiment", "condition_kind"): ("adaptive", {}),
-    ("experiment", "stages"): ("5", {}),
     ("experiment", "theory"): ("holder", {}),
     ("experiment", "theory_s"): ("3", {"theory": "sparse_l1", "theory_s": "2", "theory_p": "8"}),
     ("experiment", "theory_p"): ("2", {}),
@@ -272,10 +280,10 @@ def test_cli_experiment_reproducible(cfg_path, tmp_path):
     main(["--config", cfg_path, "--out", out1, "experiment"])
     main(["--config", cfg_path, "--out", out2, "experiment"])
     for name in ("results.csv", "summary.csv", "manifest.json"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
-    manifest = json.loads(open(os.path.join(out1, "manifest.json")).read())
+    manifest = json.loads(Path(out1, "manifest.json").read_text())
     assert manifest["master_seed"] == 99
     assert set(manifest["mean_risk"]) == {"32", "64", "128"}
 
@@ -284,24 +292,24 @@ def test_cli_seed_override_changes_output(cfg_path, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["--config", cfg_path, "--out", out1, "--seed", "1", "experiment"])
     main(["--config", cfg_path, "--out", out2, "--seed", "2", "experiment"])
-    r1 = open(os.path.join(out1, "results.csv")).read()
-    r2 = open(os.path.join(out2, "results.csv")).read()
+    r1 = Path(out1, "results.csv").read_text()
+    r2 = Path(out2, "results.csv").read_text()
     assert r1 != r2
 
 
 def test_cli_entropy_eps_star_estimate(cfg_path, tmp_path):
     out = str(tmp_path / "o")
     main(["--config", cfg_path, "--out", out, "entropy", "--n", "64"])
-    text = open(os.path.join(out, "entropy.csv")).read()
+    text = Path(out, "entropy.csv").read_text()
     assert text.splitlines()[0] == "eps,log_m,exact_flag,kind,center_id,c,pool_size,seed"
     main(["--config", cfg_path, "--out", out, "eps-star", "--n", "64"])
-    cert = json.loads(open(os.path.join(out, "eps_star.json")).read())
+    cert = json.loads(Path(out, "eps_star.json").read_text())
     assert cert["n"] == 64 and cert["eps_star"] >= 0
     main(["--config", cfg_path, "--out", out, "certify-lower", "--n", "64"])
-    low = json.loads(open(os.path.join(out, "lower_bound.json")).read())
+    low = json.loads(Path(out, "lower_bound.json").read_text())
     assert "lower_eps" in low
     main(["--config", cfg_path, "--out", out, "estimate", "--n", "64"])
-    trace = json.loads(open(os.path.join(out, "trace.json")).read())
+    trace = json.loads(Path(out, "trace.json").read_text())
     assert trace["total_stages"] >= 1
     assert len(trace["radii"]) == trace["total_stages"] - 1
 
@@ -327,11 +335,30 @@ def test_cli_reads_the_sweep_schedule_profile(cfg_path, tmp_path, monkeypatch):
     assert len(built) == 4
     sweep, estimate, ladder, eps_star = built
     assert estimate == sweep and eps_star == ladder
-    assert open(os.path.join(out, "entropy.csv")).read() == ladder
+    assert Path(out, "entropy.csv").read_text() == ladder
     prefix, full = EntropyProfile.from_csv(sweep), EntropyProfile.from_csv(ladder)
     keep = np.isin(full.eps, prefix.eps)
     assert 0 < keep.sum() == len(prefix.eps) < len(full.eps)
     assert np.array_equal(full.log_m[keep], prefix.log_m)
+
+
+@pytest.mark.parametrize("ini", [MONOTONE_INI, SPARSE_INI], ids=["monotone", "sparse"])
+def test_cli_estimate_is_replicate_zero(ini, tmp_path):
+    # estimate --n n runs replicate 0 of the sweep cell at n: its stage count
+    # and its final iterate's risk are that row of results.csv
+    p = tmp_path / "exp.ini"
+    p.write_text(ini)
+    cfg = load_config_text(ini)
+    main(["--config", str(p), "--out", str(tmp_path), "experiment"])
+    rows = Path(tmp_path, "results.csv").read_text().splitlines()[1:]
+    for n in cfg.n_grid:
+        row = next(r.split(",") for r in rows if r.startswith(f"{n},0,"))
+        main(["--config", str(p), "--out", str(tmp_path), "estimate", "--n", str(n)])
+        trace = json.loads(Path(tmp_path, "trace.json").read_text())
+        assert trace["total_stages"] == int(row[3]), n
+        body = harness.body_for_n(cfg, n)
+        risk = dist(body, trace["final_coords"], harness.make_truth(body, cfg.truth)) ** 2
+        assert repr(float(risk)) == row[2], n
 
 
 def test_import_loads_no_scipy():
@@ -350,22 +377,22 @@ def test_cli_runs_without_config(tmp_path):
     main(["--out", out, "entropy", "--n", "64"])
     assert os.path.exists(os.path.join(out, "entropy.csv"))
     main(["--out", out, "estimate", "--n", "64"])
-    trace = json.loads(open(os.path.join(out, "trace.json")).read())
+    trace = json.loads(Path(out, "trace.json").read_text())
     assert len(trace["final_coords"]) == 8
 
 
 def test_cli_widths_and_checks(cfg_path, tmp_path):
     out = str(tmp_path / "w")
     main(["--config", cfg_path, "--out", out, "widths", "--draws", "512"])
-    payload = json.loads(open(os.path.join(out, "widths.json")).read())
+    payload = json.loads(Path(out, "widths.json").read_text())
     assert len(payload) == 4 and all(p["draws"] == 512 for p in payload)
     main(["--config", cfg_path, "--out", out, "check-concentration", "--n", "6400",
           "--trials", "400"])
-    conc = json.loads(open(os.path.join(out, "concentration.json")).read())
+    conc = json.loads(Path(out, "concentration.json").read_text())
     assert 0.0 <= conc["frequency"] <= 1.0
     main(["--config", cfg_path, "--out", out, "check-test", "--n", "6400",
           "--trials", "400"])
-    te = json.loads(open(os.path.join(out, "test_error.json")).read())
+    te = json.loads(Path(out, "test_error.json").read_text())
     assert 0.0 <= te["freq_h0"] <= 1.0
 
 
@@ -374,7 +401,7 @@ def test_cli_moment_check(tmp_path):
     p.write_text(SPARSE_INI)
     out = str(tmp_path / "m")
     main(["--config", str(p), "--out", out, "moment-check", "--trials", "20000"])
-    rep = json.loads(open(os.path.join(out, "moment.json")).read())
+    rep = json.loads(Path(out, "moment.json").read_text())
     assert rep["alpha_hat"] > 0 and rep["pairs"] == 8
 
 

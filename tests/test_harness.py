@@ -98,6 +98,16 @@ def test_draw_data_grid_and_linear():
         body.check_design(d.x)
 
 
+def test_draw_data_uniform_bounded_noise():
+    body = MonotoneGrid(1, 4)
+    t = make_truth(body, TruthSpec("identity"))
+    d = draw_data(body, DesignDistribution("gaussian"), NoiseModel("uniform_bounded", 0.5),
+                  t, 4000, seed=3)
+    resid = d.y - body.evaluate(d.x, t)
+    assert np.all(np.abs(resid) <= 0.5)
+    assert resid.min() < -0.45 and resid.max() > 0.45
+
+
 # -- experiments -----------------------------------------------------------------
 
 
@@ -418,6 +428,28 @@ def test_check_test_error_swap_symmetry():
                          trials=3000, seed=6)
     assert a.freq_h0 == b.freq_h1
     assert a.freq_h1 == b.freq_h0
+
+
+def test_check_test_error_uniform_bounded_noise_simulates(monkeypatch):
+    # no exact law is known for uniform noise: every observation is drawn
+    body = MonotoneGrid(1, 2)
+    f, g = body.point([0.1, 0.3]), body.point([0.7, 0.9])
+    noise, design, n = NoiseModel("uniform_bounded", 1.0), DesignDistribution("gaussian"), 1600
+    assert not harness._exact_law_applies(body, design, noise, n)
+    sizes = []
+    sample = NoiseModel.sample
+
+    def record(self, size, rng):
+        sizes.append(size)
+        return sample(self, size, rng)
+
+    monkeypatch.setattr(NoiseModel, "sample", record)
+    rep = check_test_error(body, f, g, f, noise, n, RateConstants.bounded(4.0, 1.0, 1.0),
+                           trials=500, seed=8, design=design)
+    assert sizes == [(500, n), (500, n)]
+    # the gap's mean is -n ||f - g||^2 = -576, some 20 standard deviations out
+    assert rep.freq_h0 == rep.freq_h1 == 0.0 <= rep.bound
+    assert rep.noise_kind == "uniform_bounded"
 
 
 SWAP_CASES = {

@@ -52,6 +52,17 @@ def test_eps_star_bracketing_invariant():
     assert n * hi ** 2 > prof.value(hi)
 
 
+def test_eps_star_below_the_grid():
+    # n eps^2 > log M already at the smallest eps: the constant extension
+    # below the grid gives eps* = sqrt(log M(eps_1) / n)
+    prof = EntropyProfile(c=10.0, kind="global", eps=np.array([0.5, 1.0]),
+                          log_m=np.array([2.0, 1.0]), exact=True)
+    cert = solve_eps_star(prof, 100)
+    assert cert.eps_star == np.sqrt(0.02)
+    lo, hi = cert.bracket
+    assert lo <= cert.eps_star <= hi < 0.5
+
+
 def test_eps_star_empty_crossing():
     prof = constant_profile(0.0)
     cert = solve_eps_star(prof, 100)
