@@ -92,7 +92,7 @@ def cmd_certify_lower(args):
 
 def cmd_estimate(args):
     cfg, n, body, constants, kind = _setup(args)
-    prof = schedule_profile(cfg, body, constants, kind, n)
+    prof = schedule_profile(cfg, body, constants, kind, (n,))
     stages = stage_schedule(prof, n, constants, kind, body.diameter(), max_stages=cfg.max_stages)
     trace = run_replicate(cfg, n, 0, stages, body, make_truth(body, cfg.truth))
     return {"trace.json": trace.to_json()}

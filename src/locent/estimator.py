@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
-from .entropy import EntropyProfile
+from .entropy import EntropyProfile, pool_ceiling
 from .errors import DataDimensionMismatch, IdenticalHypotheses, ProfileTooCoarse
 from .packing import greedy_max_packing
 from .seeds import canonical_json, derive_seed
@@ -394,6 +394,10 @@ def _above_floor(n: int, eps: float) -> bool:
     return n * eps * eps > LOG2
 
 
+def _above_entropy(n: int, eps: float, log_m: float) -> bool:
+    return n * eps * eps > 2.0 * log_m
+
+
 def schedule_depth(n: int, constants: RateConstants, diameter: float,
                    max_stages: int = 200) -> int:
     """Deepest J whose stage condition can hold at n: the largest J <=
@@ -405,6 +409,27 @@ def schedule_depth(n: int, constants: RateConstants, diameter: float,
     """
     J = 1
     while J < max_stages and _above_floor(n, stage_eps(J + 1, constants, diameter)):
+        J += 1
+    return J
+
+
+def schedule_start(n: int, constants: RateConstants, diameter: float, pool_size: int,
+                   max_stages: int = 200) -> int:
+    """First J whose stage condition the pool ceiling leaves open at n, at
+    most :func:`schedule_depth`.
+
+    A greedy count on pools of ``pool_size`` draws is at most the log of
+    :func:`~locent.entropy.pool_ceiling`, so the condition of every J before
+    this one holds whatever such a profile reads (n eps_J^2 then exceeds
+    2 log 2, so the log-2 floor holds too); the start never falls as n grows.
+    It makes :func:`stage_schedule`'s comparison, so rounding cannot flip a
+    decision.  A schedule that read counts above the ceiling, such as a
+    certified bound, would have to revisit this start.
+    """
+    depth = schedule_depth(n, constants, diameter, max_stages)
+    ceiling = float(np.log(pool_ceiling(pool_size)))
+    J = 1
+    while J < depth and _above_entropy(n, stage_eps(J, constants, diameter), ceiling):
         J += 1
     return J
 
@@ -423,7 +448,10 @@ def stage_schedule(
     (equal to eps_J c / sqrt(L)); kind "adaptive" reads an adaptive profile
     with constant 2c at arg = 2 d / 2^(J-2).  J* = 1 when even J = 1
     fails.  Profile values are interpolated; an argument below half the
-    smallest grid eps raises ProfileTooCoarse.
+    smallest grid eps raises ProfileTooCoarse, and one above the grid reads
+    the coarsest grid value.  A sweep's greedy profile starts its grid at
+    :func:`schedule_start`: each J before it reads that coarsest value, a
+    count within the pool ceiling, so its condition holds as on the ladder.
     """
     if kind not in ("bounded", "unbounded", "adaptive"):
         raise ValueError(f"unknown condition kind {kind!r}")
@@ -437,7 +465,7 @@ def stage_schedule(
                 f"entropy argument {arg} below half the smallest grid eps {profile.eps[0]}"
             )
         eps = stage_eps(J, constants, diameter)
-        return _above_floor(n, eps) and n * eps * eps > 2.0 * profile.value(arg)
+        return _above_floor(n, eps) and _above_entropy(n, eps, profile.value(arg))
 
     j_star = 1
     if holds(1):

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,6 +45,7 @@ from .estimator import (
     entropy_arg,
     run_algorithm1,
     schedule_depth,
+    schedule_start,
     stage_schedule,
 )
 from .rates import RateFormula, theoretical_rate
@@ -229,30 +229,39 @@ def resolve_condition_kind(cfg: ExperimentConfig, body: ConvexBody) -> str:
 
 
 def schedule_grid(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
-                  kind: str, n: int | None = None) -> list[float]:
+                  kind: str, sizes: list | tuple | None = None) -> list[float]:
     """Ascending eps grid on the ladder d * 2^(2-j), whose points include the
     schedule's arguments d/2^(J-2) (twice that for the adaptive condition).
 
-    With n: only the arguments of J = 1 .. :func:`schedule_depth` at n, which
-    are all the points the schedule at n, or at any smaller n, can read.
-    Without n: the whole ladder j = 0 .. max_stages + 2, which the eps*
-    crossing, the monotonization and the lower bound read past the schedule.
+    With ``sizes``, the sample sizes whose schedules read the profile: the
+    arguments of J = :func:`schedule_start` at the smallest size ..
+    :func:`schedule_depth` at the largest, a contiguous run of the ladder,
+    so no schedule read falls between two points.  Past the depth the stage
+    condition fails by its log-2 floor.  Below the start the pool ceiling
+    settles it: the schedule reads those coarser arguments above the grid,
+    at the coarsest grid value, and the condition holds as at any greedy
+    count.  Without sizes: the whole ladder j = 0 .. max_stages + 2, which
+    the eps* crossing, the monotonization and the lower bound read past the
+    schedule.
     """
     d = body.diameter()
-    if n is None:
+    if sizes is None:
         ladder = (d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3))
     else:
-        depth = schedule_depth(n, constants, d, cfg.max_stages)
-        ladder = (entropy_arg(J, d, kind) for J in range(1, depth + 1))
+        start = schedule_start(min(sizes), constants, d, cfg.profile_budget.pool_size,
+                               cfg.max_stages)
+        depth = schedule_depth(max(sizes), constants, d, cfg.max_stages)
+        ladder = (entropy_arg(J, d, kind) for J in range(start, depth + 1))
     return sorted(e for e in ladder if e > 0)
 
 
 def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
-                     kind: str, n: int | None = None) -> EntropyProfile:
-    """Greedy entropy profile on :func:`schedule_grid`: the schedule's prefix
-    for sample sizes up to n, or the whole ladder when n is None.  Each grid
-    point is computed on its own, so the prefix holds the ladder's values."""
-    grid = schedule_grid(cfg, body, constants, kind, n)
+                     kind: str, sizes: list | tuple | None = None) -> EntropyProfile:
+    """Greedy entropy profile on :func:`schedule_grid`: the points the
+    schedules at ``sizes`` leave open, or the whole ladder when sizes is None.
+    Each grid point is computed on its own, so either grid holds the ladder's
+    values and gives every size the ladder's J*."""
+    grid = schedule_grid(cfg, body, constants, kind, sizes)
     seed = derive_seed(cfg.master_seed, "profile", kind, body.tag)
     if kind == "adaptive":
         # the schedule's infimum over centers is approximated by the
@@ -290,7 +299,7 @@ class ExperimentResult:
         for n in self.n_grid:
             for r, risk in enumerate(self.risks[n]):
                 w.writerow([n, r, repr(float(risk)), self.stages[n],
-                            derive_seed(self.master_seed, "cell", n, r)])
+                            cell_seed(self.master_seed, n, r)])
         return buf.getvalue()
 
     def summary_csv(self) -> str:
@@ -322,12 +331,18 @@ class ExperimentResult:
         return canonical_json(payload)
 
 
+def cell_seed(master_seed: int, n: int, rep: int) -> int:
+    """Seed of replicate ``rep`` of the sweep cell at n, as ``results.csv``
+    records it."""
+    return derive_seed(master_seed, "cell", n, rep)
+
+
 def run_replicate(cfg: ExperimentConfig, n: int, rep: int, stages: int,
                   body: ConvexBody, truth) -> EstimatorTrace:
     """Replicate ``rep`` of the sweep cell at n: its own data draw and
     estimator run, with per-stage distances to the truth; a pure function of
     (config, n, rep, stages)."""
-    seed = derive_seed(cfg.master_seed, "cell", n, rep)
+    seed = cell_seed(cfg.master_seed, n, rep)
     data = draw_data(body, cfg.design, cfg.noise, truth, n, seed)
     return run_algorithm1(body, data, constants_for(cfg, body), stages, cfg.pool,
                           seed=derive_seed(seed, "run"), eval_truth=truth)
@@ -355,8 +370,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     stage schedule off the entropy profile.  The profile is built once per
     distinct body: its constants, kind and seed are functions of the body
     within a sweep, so a fixed-size body shares one profile across every n.
-    It holds only the points the schedule can read at the largest n sharing
-    the body, which serve every smaller n too.
+    It holds only the points that the schedules of the n sharing the body
+    leave open: none that the pool ceiling settles at the smallest such n,
+    and none past the log-2 floor at the largest (:func:`schedule_grid`).
     Then all replicates of all n run, serially or on one pool of
     ``threads`` processes; a failed replicate is recorded as NaN without
     aborting the sweep, and the outputs do not depend on ``threads``.
@@ -367,7 +383,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         formula = theoretical_rate(cfg.theory, **cfg.theory_params)
 
     bodies = {n: body_for_n(cfg, n) for n in cfg.n_grid}
-    last_n = {body.tag: n for n, body in bodies.items()}  # n_grid ascends
+    sizes: dict = {}  # body.tag -> the n sharing the body
+    for n, body in bodies.items():
+        sizes.setdefault(body.tag, []).append(n)
     profiles: dict = {}  # body.tag -> schedule profile
     stages_used: dict = {}
     d2: dict = {}
@@ -378,7 +396,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         kind = resolve_condition_kind(cfg, body)
         if body.tag not in profiles:
             profiles[body.tag] = schedule_profile(cfg, body, constants, kind,
-                                                  last_n[body.tag])
+                                                  sizes[body.tag])
         stages = stage_schedule(profiles[body.tag], n, constants, kind,
                                 body.diameter(), max_stages=cfg.max_stages)
         stages_used[n] = stages
@@ -388,6 +406,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             theory_vals[n] = float(formula.risk(n))
 
     if threads > 1:
+        # imported here: at module level it adds about 20 ms to `import locent`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             flat = list(pool.map(_cell_or_nan, jobs))
     else:

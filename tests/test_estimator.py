@@ -27,6 +27,7 @@ from locent.estimator import (
     pairwise_test_psi,
     run_algorithm1,
     schedule_depth,
+    schedule_start,
     stage_eps,
     stage_schedule,
     structured_candidates,
@@ -414,6 +415,49 @@ def test_schedule_prefix_gives_the_ladder_j_star(kind, max_stages):
     assert (1, 1) in seen  # J = 1 fails the log-2 floor: a one-point profile
     assert (max_stages, max_stages) in seen  # the cap binds
     assert any(1 < j_star < depth for depth, j_star in seen)  # the entropy binds
+
+
+@pytest.mark.parametrize("max_stages", [6, 14])
+@pytest.mark.parametrize("kind", ["bounded", "unbounded", "adaptive"])
+def test_schedule_start_gives_the_ladder_j_star(kind, max_stages):
+    # greedy counts on pools of 192 draws stay within log 193, which the finer
+    # points reach; the profile on the arguments of J = schedule_start ..
+    # schedule_depth alone gives the j_star of the whole ladder, reading the
+    # coarser arguments above its grid
+    consts = RateConstants(C=4.0, L_paper=1.0)
+    d, pool_size = 1.0, 192
+    c = 2.0 * consts.c if kind == "adaptive" else consts.c
+    ladder = np.array(sorted(d * 2.0 ** (2 - j) for j in range(max_stages + 3)))
+    log_m = np.minimum(np.log(np.ceil(3.0 * (4.0 * d / ladder) ** 1.6)), np.log(pool_size + 1))
+    assert log_m[0] == np.log(pool_size + 1) > log_m[-1]
+    full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m, pool_size=pool_size)
+    seen = set()
+    for n in np.unique(np.geomspace(1, 1e11, 400).astype(int)):
+        start = schedule_start(n, consts, d, pool_size, max_stages)
+        depth = schedule_depth(n, consts, d, max_stages)
+        keep = np.isin(ladder, [entropy_arg(J, d, kind) for J in range(start, depth + 1)])
+        assert 1 <= start <= depth and keep.sum() == depth - start + 1
+        trimmed = EntropyProfile(c=c, kind=kind, eps=ladder[keep], log_m=log_m[keep],
+                                 pool_size=pool_size)
+        j_star = stage_schedule(full, n, consts, kind, d, max_stages=max_stages)
+        assert stage_schedule(trimmed, n, consts, kind, d, max_stages=max_stages) == j_star
+        seen.add((start, depth, j_star))
+    assert (1, 1, 1) in seen
+    assert any(1 < start == j_star < depth for start, depth, j_star in seen)  # decided on the grid
+    assert any(1 < start == j_star + 1 for start, depth, j_star in seen)  # decided at the start
+    assert any(start == depth == max_stages for start, depth, j_star in seen)  # the clamp
+
+
+def test_schedule_start_is_the_pool_ceiling():
+    consts = RateConstants(C=4.0, L_paper=1.0)
+    # eps_J = 0.4 / 2^J for d = 1, so the ceiling log 193 settles J iff
+    # n > 2 log 193 (2^J / 0.4)^2; the start is the first J it leaves open
+    ceiling = 2.0 * np.log(193.0)
+    for n in (1, 100, 1e4, 1e6, 1e9):
+        depth = schedule_depth(n, consts, 1.0, max_stages=14)
+        open_ = [J for J in range(1, depth + 1) if n * (0.4 / 2.0 ** J) ** 2 <= ceiling]
+        assert schedule_start(n, consts, 1.0, 192, max_stages=14) == min(open_ + [depth])
+    assert schedule_start(1e12, consts, 1.0, 192, max_stages=14) == 14
 
 
 def test_schedule_depth_is_the_log2_floor():

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import locent.entropy as entropy
 import locent.harness as harness
 from locent.bodies import (
     DesignDistribution,
@@ -19,7 +20,14 @@ from locent.errors import (
     PreconditionViolated,
     UnboundedClassWithoutMomentConstant,
 )
-from locent.estimator import NoiseModel, PoolBudget, RateConstants, entropy_arg, stage_eps
+from locent.estimator import (
+    NoiseModel,
+    PoolBudget,
+    RateConstants,
+    entropy_arg,
+    schedule_depth,
+    stage_eps,
+)
 from locent.harness import (
     ExperimentConfig,
     TruthSpec,
@@ -192,7 +200,9 @@ def test_experiment_auto_grid_builds_one_profile_per_n(monkeypatch):
 ], ids=["auto-grid", "fixed-capped", "adaptive"])
 def test_experiment_builds_the_schedule_prefix(monkeypatch, kw):
     # per body: the arguments of every J whose log-2 floor holds at the
-    # largest n sharing the body, and J = 1 always; nothing coarser
+    # largest n sharing the body (J = 1 always), from the first J whose
+    # condition the pool ceiling log 193 leaves open at the smallest such n
+    # (at most that n's last J); nothing coarser or finer
     grids = []
     real = harness.local_entropy
 
@@ -203,17 +213,63 @@ def test_experiment_builds_the_schedule_prefix(monkeypatch, kw):
     monkeypatch.setattr(harness, "local_entropy", recording)
     cfg = small_config(replicates=2, **kw)
     run_experiment(cfg)
-    last = {body_for_n(cfg, n).tag: n for n in cfg.n_grid}
+    sizes = {}
+    for n in cfg.n_grid:
+        sizes.setdefault(body_for_n(cfg, n).tag, []).append(n)
     expected = []
-    for tag, n in last.items():
-        body = body_for_n(cfg, n)
+    for tag, ns in sizes.items():
+        body = body_for_n(cfg, ns[0])
         consts, d = constants_for(cfg, body), body.diameter()
         kind = harness.resolve_condition_kind(cfg, body)
-        read = [J for J in range(1, cfg.max_stages + 1)
-                if J == 1 or n * stage_eps(J, consts, d) ** 2 > np.log(2.0)]
+
+        def floor(n):
+            return [J for J in range(1, cfg.max_stages + 1)
+                    if J == 1 or n * stage_eps(J, consts, d) ** 2 > np.log(2.0)]
+
+        lo = floor(min(ns))
+        start = next((J for J in lo if min(ns) * stage_eps(J, consts, d) ** 2
+                      <= 2.0 * np.log(cfg.profile_budget.pool_size + 1)), lo[-1])
+        read = [J for J in floor(max(ns)) if J >= start]
         expected.append((tag, sorted(entropy_arg(J, d, kind) for J in read)))
     assert grids == expected
     assert all(len(grid) < cfg.max_stages + 3 for _, grid in grids)
+
+
+def _full_prefix_grid(cfg, body, constants, kind, sizes):
+    # the untrimmed run J = 1 .. depth at the largest n, as a reference
+    d = body.diameter()
+    depth = schedule_depth(np.max(sizes), constants, d, cfg.max_stages)
+    return sorted(entropy_arg(J, d, kind) for J in range(1, depth + 1))
+
+
+@pytest.mark.parametrize("kw", [
+    {"body_params": {"p": 1, "m": 6}, "n_grid": (32, 64, 128, 256)},
+    {"condition_kind": "adaptive", "body_params": {"p": 1, "m": 6}, "n_grid": (32, 64, 128)},
+    {"condition_kind": "adaptive"},
+], ids=["shared-body", "adaptive-shared-body", "adaptive"])
+def test_trimmed_schedule_profile_writes_the_same_bytes(monkeypatch, kw):
+    # the points the pool ceiling settles change no stage count, so the sweep
+    # writes what the J = 1 .. depth profile gives, from fewer entropy pools
+    pools = []
+    real = entropy.greedy_max_packing
+
+    def counting(*a, **k):
+        pools.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(entropy, "greedy_max_packing", counting)
+    cfg = small_config(replicates=2, **kw)
+
+    def outputs():
+        pools.clear()
+        res = run_experiment(cfg)
+        return res.rows_csv(), res.summary_csv(), res.manifest_json(), len(pools)
+
+    *trimmed, trimmed_pools = outputs()
+    monkeypatch.setattr(harness, "schedule_grid", _full_prefix_grid)
+    *full, full_pools = outputs()
+    assert trimmed == full
+    assert 0 < trimmed_pools < full_pools
 
 
 def test_condition_kind_must_name_the_class_regime():
