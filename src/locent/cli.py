@@ -6,10 +6,11 @@ check-concentration, check-test, moment-check.  Global flags: --config,
 returns its files as {name: text}; they are written under --out, with
 deterministic content for fixed config and seed, and their paths printed.
 Counts (--n, --trials, --draws, --threads) must be at least 1.
-estimate --n N runs replicate 0 of the sweep cell at N: its stage count J* is
-read off the schedule profile the sweep builds, the points its schedule can
-read.  entropy, eps-star and certify-lower read the same profile on the whole
-ladder; on adaptive configs certify-lower reads a global one.
+estimate --n N runs replicate 0 of the sweep cell at N: its stage count J*
+comes from the sweep's schedule walk, which builds the profile points it
+reads and no other.  entropy, eps-star and certify-lower build the same
+profile on the whole ladder; on adaptive configs certify-lower builds a
+global one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import config as cfgmod
 from .bodies import dist, moment_ratio_check
-from .estimator import stage_schedule
 from .harness import (
     ExperimentConfig,
     body_for_n,
@@ -36,6 +36,7 @@ from .harness import (
     run_experiment,
     run_replicate,
     schedule_profile,
+    schedule_stages,
 )
 from .rates import certify_lower_bound, solve_eps_star
 from .seeds import canonical_json, derive_seed
@@ -92,8 +93,7 @@ def cmd_certify_lower(args):
 
 def cmd_estimate(args):
     cfg, n, body, constants, kind = _setup(args)
-    prof = schedule_profile(cfg, body, constants, kind, (n,))
-    stages = stage_schedule(prof, n, constants, kind, body.diameter(), max_stages=cfg.max_stages)
+    stages = schedule_stages(cfg, n, body, constants, kind, {})
     trace = run_replicate(cfg, n, 0, stages, body, make_truth(body, cfg.truth))
     return {"trace.json": trace.to_json()}
 

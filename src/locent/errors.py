@@ -37,20 +37,12 @@ class IdenticalHypotheses(LocentError):
     """The two test hypotheses are the same point."""
 
 
-class ProfileTooCoarse(LocentError):
-    """Entropy profile grid does not reach the needed epsilon."""
-
-
 class NonMonotoneProfile(LocentError):
     """Monotonization changed a greedy profile beyond the allowed slack."""
 
 
 class BadParams(LocentError):
     """Rate-formula parameters out of range."""
-
-
-class NoValidIndex(LocentError):
-    """Kolmogorov-width index scan found no valid k."""
 
 
 class InnerOptFailure(LocentError):

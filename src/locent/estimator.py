@@ -14,6 +14,9 @@ Stage counts come from schedules: the maximal J with
 for eps_J = d sqrt(L) / (2^(J-2) c), with L the bounded-case exponent
 constant, its unbounded-case variant, or the adaptive variant that reads an
 adaptive entropy profile at argument 2 eps_J c / sqrt(L) with constant 2c.
+The schedule walks up J to the first J that fails and reads the entropy
+through a callable, only where neither the log-2 floor nor a ceiling on the
+counts settles the condition, so a caller can build each point on demand.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
-from .entropy import EntropyProfile, pool_ceiling
-from .errors import DataDimensionMismatch, IdenticalHypotheses, ProfileTooCoarse
+from .errors import DataDimensionMismatch, IdenticalHypotheses
 from .packing import greedy_max_packing
 from .seeds import canonical_json, derive_seed
 
@@ -398,60 +400,28 @@ def _above_entropy(n: int, eps: float, log_m: float) -> bool:
     return n * eps * eps > 2.0 * log_m
 
 
-def schedule_depth(n: int, constants: RateConstants, diameter: float,
-                   max_stages: int = 200) -> int:
-    """Deepest J whose stage condition can hold at n: the largest J <=
-    max_stages with n eps_J^2 > log 2, or 1 when even J = 1 fails.
-
-    Past it the condition fails by its log-2 floor whatever the profile says,
-    so :func:`stage_schedule` reads the profile only at the arguments of
-    J = 1 .. depth, and a smaller n never reaches deeper.
-    """
-    J = 1
-    while J < max_stages and _above_floor(n, stage_eps(J + 1, constants, diameter)):
-        J += 1
-    return J
-
-
-def schedule_start(n: int, constants: RateConstants, diameter: float, pool_size: int,
-                   max_stages: int = 200) -> int:
-    """First J whose stage condition the pool ceiling leaves open at n, at
-    most :func:`schedule_depth`.
-
-    A greedy count on pools of ``pool_size`` draws is at most the log of
-    :func:`~locent.entropy.pool_ceiling`, so the condition of every J before
-    this one holds whatever such a profile reads (n eps_J^2 then exceeds
-    2 log 2, so the log-2 floor holds too); the start never falls as n grows.
-    It makes :func:`stage_schedule`'s comparison, so rounding cannot flip a
-    decision.  A schedule that read counts above the ceiling, such as a
-    certified bound, would have to revisit this start.
-    """
-    depth = schedule_depth(n, constants, diameter, max_stages)
-    ceiling = float(np.log(pool_ceiling(pool_size)))
-    J = 1
-    while J < depth and _above_entropy(n, stage_eps(J, constants, diameter), ceiling):
-        J += 1
-    return J
-
-
 def stage_schedule(
-    profile: EntropyProfile,
+    log_m,
     n: int,
     constants: RateConstants,
     kind: str,
     diameter: float,
     max_stages: int = 200,
+    ceiling: float = np.inf,
 ) -> int:
-    """J*, the maximal J with n eps_J^2 > 2 log M(arg_J) or log 2.
+    """J*, the maximal J with n eps_J^2 > 2 log M(arg_J) or log 2, found by a
+    walk up from J = 1 that stops at the first J that fails.
 
-    kind "bounded"/"unbounded" reads a global profile at arg = d / 2^(J-2)
-    (equal to eps_J c / sqrt(L)); kind "adaptive" reads an adaptive profile
-    with constant 2c at arg = 2 d / 2^(J-2).  J* = 1 when even J = 1
-    fails.  Profile values are interpolated; an argument below half the
-    smallest grid eps raises ProfileTooCoarse, and one above the grid reads
-    the coarsest grid value.  A sweep's greedy profile starts its grid at
-    :func:`schedule_start`: each J before it reads that coarsest value, a
-    count within the pool ceiling, so its condition holds as on the ladder.
+    ``log_m`` maps an entropy argument to a log packing count, such as a
+    profile's ``value``.  Kind "bounded"/"unbounded" reads a global profile
+    at arg = d / 2^(J-2) (equal to eps_J c / sqrt(L)); kind "adaptive" reads
+    an adaptive profile with constant 2c at arg = 2 d / 2^(J-2).  J* = 1 when
+    even J = 1 fails.  ``ceiling`` bounds every count ``log_m`` can return
+    (a greedy count on pools of k draws is at most log(k + 1)), so a J with
+    n eps_J^2 > 2 ceiling holds unread.  ``log_m`` is thus read only where the
+    log-2 floor holds and the ceiling leaves the condition open, up to the
+    first J that fails: at most J* + 1.  A count above the pool ceiling, such
+    as a certified one, needs only a higher ``ceiling``.
     """
     if kind not in ("bounded", "unbounded", "adaptive"):
         raise ValueError(f"unknown condition kind {kind!r}")
@@ -459,13 +429,10 @@ def stage_schedule(
         raise ValueError("max_stages must be at least 1")
 
     def holds(J: int) -> bool:
-        arg = entropy_arg(J, diameter, kind)
-        if arg < profile.eps[0] / 2.0:
-            raise ProfileTooCoarse(
-                f"entropy argument {arg} below half the smallest grid eps {profile.eps[0]}"
-            )
         eps = stage_eps(J, constants, diameter)
-        return _above_floor(n, eps) and _above_entropy(n, eps, profile.value(arg))
+        return _above_floor(n, eps) and (
+            _above_entropy(n, eps, ceiling)
+            or _above_entropy(n, eps, log_m(entropy_arg(J, diameter, kind))))
 
     j_star = 1
     if holds(1):

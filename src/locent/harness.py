@@ -28,7 +28,7 @@ from .bodies import (
     dist,
     make_body,
 )
-from .entropy import EntropyBudget, EntropyProfile, local_entropy
+from .entropy import EntropyBudget, EntropyProfile, local_entropy, pool_ceiling
 from .errors import (
     DegenerateFit,
     InsufficientData,
@@ -42,10 +42,7 @@ from .estimator import (
     RateConstants,
     RegressionData,
     _psi_from_gap,
-    entropy_arg,
     run_algorithm1,
-    schedule_depth,
-    schedule_start,
     stage_schedule,
 )
 from .rates import RateFormula, theoretical_rate
@@ -228,40 +225,17 @@ def resolve_condition_kind(cfg: ExperimentConfig, body: ConvexBody) -> str:
     return regime if cfg.condition_kind == "auto" else cfg.condition_kind
 
 
-def schedule_grid(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
-                  kind: str, sizes: list | tuple | None = None) -> list[float]:
-    """Ascending eps grid on the ladder d * 2^(2-j), whose points include the
-    schedule's arguments d/2^(J-2) (twice that for the adaptive condition).
-
-    With ``sizes``, the sample sizes whose schedules read the profile: the
-    arguments of J = :func:`schedule_start` at the smallest size ..
-    :func:`schedule_depth` at the largest, a contiguous run of the ladder,
-    so no schedule read falls between two points.  Past the depth the stage
-    condition fails by its log-2 floor.  Below the start the pool ceiling
-    settles it: the schedule reads those coarser arguments above the grid,
-    at the coarsest grid value, and the condition holds as at any greedy
-    count.  Without sizes: the whole ladder j = 0 .. max_stages + 2, which
-    the eps* crossing, the monotonization and the lower bound read past the
-    schedule.
-    """
-    d = body.diameter()
-    if sizes is None:
-        ladder = (d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3))
-    else:
-        start = schedule_start(min(sizes), constants, d, cfg.profile_budget.pool_size,
-                               cfg.max_stages)
-        depth = schedule_depth(max(sizes), constants, d, cfg.max_stages)
-        ladder = (entropy_arg(J, d, kind) for J in range(start, depth + 1))
-    return sorted(e for e in ladder if e > 0)
-
-
 def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateConstants,
-                     kind: str, sizes: list | tuple | None = None) -> EntropyProfile:
-    """Greedy entropy profile on :func:`schedule_grid`: the points the
-    schedules at ``sizes`` leave open, or the whole ladder when sizes is None.
-    Each grid point is computed on its own, so either grid holds the ladder's
-    values and gives every size the ladder's J*."""
-    grid = schedule_grid(cfg, body, constants, kind, sizes)
+                     kind: str, grid=None) -> EntropyProfile:
+    """Greedy entropy profile at the eps of ``grid``, or on the whole ladder
+    d 2^(2-j), j = 0 .. max_stages + 2, when grid is None.  The ladder holds
+    every stage argument (:func:`~locent.estimator.entropy_arg`) and the
+    points past the schedule that the eps* crossing, the monotonization and
+    the lower bound read.  Pool seeds come from (seed, eps, center) alone, so
+    a point holds the ladder's value at its eps in any grid."""
+    if grid is None:
+        d = body.diameter()
+        grid = [e for e in (d * 2.0 ** (2 - j) for j in range(cfg.max_stages + 3)) if e > 0]
     seed = derive_seed(cfg.master_seed, "profile", kind, body.tag)
     if kind == "adaptive":
         # the schedule's infimum over centers is approximated by the
@@ -274,6 +248,26 @@ def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateCon
         )
     return local_entropy(body, grid, constants.c, mode="global",
                          budget=cfg.profile_budget, seed=seed)
+
+
+def schedule_stages(cfg: ExperimentConfig, n: int, body: ConvexBody, constants: RateConstants,
+                    kind: str, counts: dict) -> int:
+    """J* at n: :func:`~locent.estimator.stage_schedule` on the schedule
+    profile, whose points are built one at a time as the walk reads them.
+
+    No greedy count exceeds log :func:`~locent.entropy.pool_ceiling`, so the
+    walk skips every J that this ceiling settles, and reads at most up to
+    J* + 1.  ``counts`` holds the points built so far, keyed by (body tag,
+    eps), so the n that share a body share their points.
+    """
+    def log_m(eps: float) -> float:
+        if (body.tag, eps) not in counts:
+            counts[body.tag, eps] = schedule_profile(cfg, body, constants, kind, [eps]).log_m[0]
+        return counts[body.tag, eps]
+
+    ceiling = float(np.log(pool_ceiling(cfg.profile_budget.pool_size)))
+    return stage_schedule(log_m, n, constants, kind, body.diameter(),
+                          max_stages=cfg.max_stages, ceiling=ceiling)
 
 
 @dataclass
@@ -350,8 +344,8 @@ def run_replicate(cfg: ExperimentConfig, n: int, rep: int, stages: int,
 
 def _run_cell(cfg: ExperimentConfig, n: int, rep: int, stages: int,
               body: ConvexBody, truth) -> float:
-    """One replicate's squared L2(P_X) risk."""
-    return dist(body, run_replicate(cfg, n, rep, stages, body, truth).final, truth) ** 2
+    """One replicate's squared L2(P_X) risk: its final distance to the truth."""
+    return run_replicate(cfg, n, rep, stages, body, truth).truth_distances[-1] ** 2
 
 
 def _cell_or_nan(job: tuple) -> tuple[float, str]:
@@ -366,13 +360,11 @@ def _cell_or_nan(job: tuple) -> tuple[float, str]:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Full sweep over the n grid.
 
-    Per n: resolve the class (grid resolution may grow with n) and read the
-    stage schedule off the entropy profile.  The profile is built once per
-    distinct body: its constants, kind and seed are functions of the body
-    within a sweep, so a fixed-size body shares one profile across every n.
-    It holds only the points that the schedules of the n sharing the body
-    leave open: none that the pool ceiling settles at the smallest such n,
-    and none past the log-2 floor at the largest (:func:`schedule_grid`).
+    Per n: resolve the class (grid resolution may grow with n) and walk its
+    stage schedule (:func:`schedule_stages`), which builds each entropy
+    point it reads and no other.  A point is a function of the body and eps
+    within a sweep (its constants, kind and seed follow the body), so the n
+    sharing a body share their points.
     Then all replicates of all n run, serially or on one pool of
     ``threads`` processes; a failed replicate is recorded as NaN without
     aborting the sweep, and the outputs do not depend on ``threads``.
@@ -382,23 +374,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if cfg.theory:
         formula = theoretical_rate(cfg.theory, **cfg.theory_params)
 
-    bodies = {n: body_for_n(cfg, n) for n in cfg.n_grid}
-    sizes: dict = {}  # body.tag -> the n sharing the body
-    for n, body in bodies.items():
-        sizes.setdefault(body.tag, []).append(n)
-    profiles: dict = {}  # body.tag -> schedule profile
+    counts: dict = {}  # (body.tag, eps) -> schedule-profile point
     stages_used: dict = {}
     d2: dict = {}
     jobs = []
-    for n, body in bodies.items():
+    for n in cfg.n_grid:
+        body = body_for_n(cfg, n)
         truth = make_truth(body, cfg.truth)
         constants = constants_for(cfg, body)
         kind = resolve_condition_kind(cfg, body)
-        if body.tag not in profiles:
-            profiles[body.tag] = schedule_profile(cfg, body, constants, kind,
-                                                  sizes[body.tag])
-        stages = stage_schedule(profiles[body.tag], n, constants, kind,
-                                body.diameter(), max_stages=cfg.max_stages)
+        stages = schedule_stages(cfg, n, body, constants, kind, counts)
         stages_used[n] = stages
         d2[n] = body.diameter() ** 2
         jobs += [(cfg, n, rep, stages, body, truth) for rep in range(cfg.replicates)]

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .entropy import EntropyProfile
-from .errors import BadParams, NoValidIndex
+from .errors import BadParams
 from .seeds import canonical_json
 
 LOG2 = float(np.log(2.0))
@@ -169,9 +169,10 @@ class KolmogorovIndex:
 def kolmogorov_index(a, n: int) -> KolmogorovIndex:
     """The k in [p] with a_{p-k} <= (k+1)/n and a_{p-k+1} > k/n (a_0 = 0).
 
-    Returns the small-ellipsoid branch (rate a_p) when a_p <= 1/n.  The scan
-    returns the minimal k satisfying the first inequality, which then
-    satisfies the second automatically; both are re-checked.
+    Returns the small-ellipsoid branch (rate a_p) when a_p <= 1/n.  Otherwise
+    the least k with the first inequality exists, since k = p has a_0 = 0,
+    and it has the second: for k = 1 that is a_p > 1/n, and for k > 1 it is
+    the first inequality failing at k - 1.
     """
     a = np.asarray(a, dtype=np.float64)
     p = len(a)
@@ -184,15 +185,13 @@ def kolmogorov_index(a, n: int) -> KolmogorovIndex:
     def a_idx(i: int) -> float:  # a_i with a_0 = 0, 1-based
         return 0.0 if i == 0 else float(a[i - 1])
 
-    for k in range(1, p + 1):
-        if a_idx(p - k) <= (k + 1.0) / n and a_idx(p - k + 1) > k / n:
-            return KolmogorovIndex(
-                k=k,
-                d_k=float(np.sqrt(a_idx(p - k))),
-                small_ellipsoid=False,
-                rate=min(k / n, a_p),
-            )
-    raise NoValidIndex("no k satisfies the defining inequalities")
+    k = next(k for k in range(1, p + 1) if a_idx(p - k) <= (k + 1.0) / n)
+    return KolmogorovIndex(
+        k=k,
+        d_k=float(np.sqrt(a_idx(p - k))),
+        small_ellipsoid=False,
+        rate=min(k / n, a_p),
+    )
 
 
 # ---------------------------------------------------------------------------

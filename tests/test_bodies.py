@@ -13,7 +13,7 @@ from locent.bodies import (
     make_body,
     moment_ratio_check,
 )
-from locent.errors import DimensionMismatch
+from locent.errors import DimensionMismatch, NoConvergence
 from locent.harness import TruthSpec, make_truth
 
 ALL_BODIES = [
@@ -236,6 +236,22 @@ def test_secular_solver_matches_bisection_and_kkt():
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert np.max(err) <= 1e-12
 
+
+
+def test_secular_solver_raises_when_newton_runs_out(monkeypatch):
+    # a row far outside needs several Newton steps from lam = 0
+    monkeypatch.setattr(proj, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="secular Newton"):
+        proj._secular_root(np.array([[10.0, 10.0]]), np.array([1.0, 4.0]), 1.0)
+
+
+def test_dykstra_raises_when_cycles_run_out(monkeypatch):
+    # two half-planes whose corner one cycle cannot reach
+    monkeypatch.setattr(proj, "MAX_ITER", 1)
+    below = lambda Y: np.column_stack([Y[:, 0], np.minimum(Y[:, 1], 0.0)])  # noqa: E731
+    diagonal = lambda Y: Y - np.maximum(Y.sum(axis=1) - 1.0, 0.0)[:, None] / 2.0  # noqa: E731
+    with pytest.raises(NoConvergence, match="Dykstra"):
+        proj.dykstra(np.array([[3.0, 3.0]]), [below, diagonal])
 
 # -- samplers ----------------------------------------------------------------
 

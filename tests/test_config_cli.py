@@ -315,31 +315,36 @@ def test_cli_entropy_eps_star_estimate(cfg_path, tmp_path):
 
 
 def test_cli_reads_the_sweep_schedule_profile(cfg_path, tmp_path, monkeypatch):
-    # estimate builds the prefix profile a one-n sweep builds; entropy and
-    # eps-star build the whole ladder, with the same values at the prefix's eps
+    # estimate builds the points a one-n sweep builds, one at a time; entropy
+    # and eps-star build the whole ladder, with the same values at those eps
     cfg = dataclasses.replace(load_config_text(MONOTONE_INI), n_grid=(64,), replicates=2)
     built = []
     build = harness.schedule_profile
 
     def record(*args):
         prof = build(*args)
-        built.append(prof.to_csv())
+        built.append((args[4:], prof.to_csv()))
         return prof
 
     monkeypatch.setattr(harness, "schedule_profile", record)
     monkeypatch.setattr(cli, "schedule_profile", record)
     harness.run_experiment(cfg)
+    sweep = built[:]
+    built.clear()
     out = str(tmp_path / "p")
-    for command in ("estimate", "entropy", "eps-star"):
+    main(["--config", cfg_path, "--out", out, "estimate", "--n", "64"])
+    estimate = built[:]
+    built.clear()
+    for command in ("entropy", "eps-star"):
         main(["--config", cfg_path, "--out", out, command, "--n", "64"])
-    assert len(built) == 4
-    sweep, estimate, ladder, eps_star = built
-    assert estimate == sweep and eps_star == ladder
-    assert Path(out, "entropy.csv").read_text() == ladder
-    prefix, full = EntropyProfile.from_csv(sweep), EntropyProfile.from_csv(ladder)
-    keep = np.isin(full.eps, prefix.eps)
-    assert 0 < keep.sum() == len(prefix.eps) < len(full.eps)
-    assert np.array_equal(full.log_m[keep], prefix.log_m)
+    assert [grid for grid, _ in built] == [(), ()] and built[0][1] == built[1][1]
+    ladder = EntropyProfile.from_csv(built[0][1])
+    assert Path(out, "entropy.csv").read_text() == built[0][1]
+    assert estimate == sweep and 0 < len(estimate) < len(ladder.eps)
+    for (grid,), text in estimate:
+        point = EntropyProfile.from_csv(text)
+        assert list(point.eps) == grid and len(grid) == 1
+        assert point.log_m[0] == ladder.log_m[ladder.eps == grid[0]][0]
 
 
 @pytest.mark.parametrize("ini", [MONOTONE_INI, SPARSE_INI], ids=["monotone", "sparse"])

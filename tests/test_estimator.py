@@ -10,11 +10,7 @@ from locent.bodies import (
     dist,
 )
 from locent.entropy import EntropyProfile
-from locent.errors import (
-    DataDimensionMismatch,
-    IdenticalHypotheses,
-    ProfileTooCoarse,
-)
+from locent.errors import DataDimensionMismatch, IdenticalHypotheses
 from locent.estimator import (
     EstimatorTrace,
     NoiseModel,
@@ -26,8 +22,6 @@ from locent.estimator import (
     exponent_constant_unbounded,
     pairwise_test_psi,
     run_algorithm1,
-    schedule_depth,
-    schedule_start,
     stage_eps,
     stage_schedule,
     structured_candidates,
@@ -323,11 +317,33 @@ def flat_profile(c, value, lo=1e-4, hi=16.0):
                           log_m=np.array([value, value]), exact=True)
 
 
+def recording(log_m):
+    """``log_m`` and the list of arguments it has been read at."""
+    reads = []
+
+    def read(arg):
+        reads.append(arg)
+        return log_m(arg)
+
+    return read, reads
+
+
+def walked(n, consts, d, kind, log_m, max_stages):
+    """By an explicit scan: the J a walk up the schedule decides, J = 1, 2,
+    ... through the first J whose condition fails on ``log_m`` (else through
+    max_stages), and the j_star that gives."""
+    for J in range(1, max_stages + 1):
+        e = stage_eps(J, consts, d)
+        if not n * e * e > max(LOG2, 2.0 * log_m(entropy_arg(J, d, kind))):
+            return range(1, J + 1), max(J - 1, 1)
+    return range(1, max_stages + 1), max_stages
+
+
 def test_schedule_singleton_profile_reduces_to_log2_condition():
     # logM = 0: condition becomes n eps_J^2 > log 2
     consts = RateConstants(C=4.0, L_paper=1.0)
     d, c, n = 1.0, consts.c, 100
-    J = stage_schedule(flat_profile(c, 0.0), n, consts, "bounded", d)
+    J = stage_schedule(flat_profile(c, 0.0).value, n, consts, "bounded", d)
     eps = lambda J: d / (2.0 ** (J - 2) * c)
     explicit = max(J for J in range(1, 60) if n * eps(J) ** 2 > LOG2)
     assert J == explicit == 2
@@ -337,7 +353,7 @@ def test_schedule_singleton_profile_reduces_to_log2_condition():
 def test_schedule_never_satisfied_gives_one():
     consts = RateConstants(C=4.0, L_paper=1.0)
     # constant profile k with n eps_1^2 <= log 2
-    assert stage_schedule(flat_profile(consts.c, 5.0), 1, consts, "bounded", 0.5) == 1
+    assert stage_schedule(flat_profile(consts.c, 5.0).value, 1, consts, "bounded", 0.5) == 1
 
 
 def test_schedule_rejects_max_stages_below_one():
@@ -345,7 +361,7 @@ def test_schedule_rejects_max_stages_below_one():
     # n = 1 fails even J = 1, which used to hide the bad cap
     for n in (1, 10_000):
         with pytest.raises(ValueError, match="max_stages"):
-            stage_schedule(flat_profile(consts.c, 0.0), n, consts, "bounded", 1.0,
+            stage_schedule(flat_profile(consts.c, 0.0).value, n, consts, "bounded", 1.0,
                            max_stages=0)
 
 
@@ -358,7 +374,7 @@ def test_schedule_power_profile_matches_direct_scan():
     eps_grid = np.geomspace(1e-5, 8.0, 120)
     prof = EntropyProfile(c=c, kind="global", eps=eps_grid,
                           log_m=eps_grid ** (-2.0 * (p - 1)), exact=True)
-    j_star = stage_schedule(prof, n, consts, "bounded", d, max_stages=60)
+    j_star = stage_schedule(prof.value, n, consts, "bounded", d, max_stages=60)
 
     def eps_at(J):
         return d / (2.0 ** (J - 2) * c)
@@ -383,19 +399,12 @@ def test_schedule_power_profile_matches_direct_scan():
     assert 0.5 * root <= stage_eps(j_star, consts, d) <= 2.0 * root
 
 
-def test_schedule_profile_too_coarse():
-    consts = RateConstants(C=4.0, L_paper=1.0)
-    prof = EntropyProfile(c=consts.c, kind="global", eps=np.array([2.0, 4.0]),
-                          log_m=np.array([1.0, 1.0]), exact=True)
-    with pytest.raises(ProfileTooCoarse):
-        stage_schedule(prof, 10_000_000, consts, "bounded", 1.0, max_stages=60)
-
-
 @pytest.mark.parametrize("max_stages", [6, 14])
 @pytest.mark.parametrize("kind", ["bounded", "unbounded", "adaptive"])
 def test_schedule_prefix_gives_the_ladder_j_star(kind, max_stages):
-    # the profile on the arguments of J = 1 .. schedule_depth(n) alone gives
-    # the j_star of the whole ladder d 2^(2-j), j = 0 .. max_stages + 2
+    # with no ceiling the walk reads the profile at J = 1, 2, ... through the
+    # first J that fails, wherever the log-2 floor holds: the prefix of the
+    # ladder d 2^(2-j) that decides the ladder's j_star, and no other point
     consts = RateConstants(C=4.0, L_paper=1.0)
     d = 1.0
     c = 2.0 * consts.c if kind == "adaptive" else consts.c
@@ -404,67 +413,77 @@ def test_schedule_prefix_gives_the_ladder_j_star(kind, max_stages):
     full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m)
     seen = set()
     for n in np.unique(np.geomspace(1, 1e11, 400).astype(int)):
-        depth = schedule_depth(n, consts, d, max_stages)
-        keep = np.isin(ladder, [entropy_arg(J, d, kind) for J in range(1, depth + 1)])
-        assert keep.sum() == depth
-        prefix = EntropyProfile(c=c, kind=kind, eps=ladder[keep], log_m=log_m[keep])
-        j_star = stage_schedule(full, n, consts, kind, d, max_stages=max_stages)
-        assert stage_schedule(prefix, n, consts, kind, d, max_stages=max_stages) == j_star
-        assert j_star <= depth
-        seen.add((depth, j_star))
-    assert (1, 1) in seen  # J = 1 fails the log-2 floor: a one-point profile
-    assert (max_stages, max_stages) in seen  # the cap binds
-    assert any(1 < j_star < depth for depth, j_star in seen)  # the entropy binds
+        read, reads = recording(full.value)
+        j_star = stage_schedule(read, n, consts, kind, d, max_stages=max_stages)
+        walk, explicit = walked(n, consts, d, kind, full.value, max_stages)
+        floor = [J for J in walk if n * stage_eps(J, consts, d) ** 2 > LOG2]
+        assert reads == [entropy_arg(J, d, kind) for J in floor]
+        assert j_star == explicit
+        assert np.isin(reads, ladder).all()
+        seen.add((len(reads), j_star))
+    assert (0, 1) in seen  # J = 1 fails the log-2 floor: nothing is read
+    assert any(j_star == max_stages for _, j_star in seen)  # the cap binds
+    assert any(1 < j_star == count - 1 for count, j_star in seen)  # the entropy binds
 
 
-@pytest.mark.parametrize("max_stages", [6, 14])
+@pytest.mark.parametrize("max_stages", [6, 14, 60])
 @pytest.mark.parametrize("kind", ["bounded", "unbounded", "adaptive"])
 def test_schedule_start_gives_the_ladder_j_star(kind, max_stages):
     # greedy counts on pools of 192 draws stay within log 193, which the finer
-    # points reach; the profile on the arguments of J = schedule_start ..
-    # schedule_depth alone gives the j_star of the whole ladder, reading the
-    # coarser arguments above its grid
+    # points reach; given that ceiling, the walk reads the profile only from
+    # the first J the ceiling leaves open through the first J that fails,
+    # where the log-2 floor holds, and still gives the whole ladder's j_star
     consts = RateConstants(C=4.0, L_paper=1.0)
-    d, pool_size = 1.0, 192
+    d, ceiling = 1.0, np.log(193.0)
     c = 2.0 * consts.c if kind == "adaptive" else consts.c
     ladder = np.array(sorted(d * 2.0 ** (2 - j) for j in range(max_stages + 3)))
-    log_m = np.minimum(np.log(np.ceil(3.0 * (4.0 * d / ladder) ** 1.6)), np.log(pool_size + 1))
-    assert log_m[0] == np.log(pool_size + 1) > log_m[-1]
-    full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m, pool_size=pool_size)
+    log_m = np.minimum(np.log(np.ceil(3.0 * (4.0 * d / ladder) ** 1.6)), ceiling)
+    assert log_m[0] == ceiling > log_m[-1]
+    full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m, pool_size=192)
     seen = set()
     for n in np.unique(np.geomspace(1, 1e11, 400).astype(int)):
-        start = schedule_start(n, consts, d, pool_size, max_stages)
-        depth = schedule_depth(n, consts, d, max_stages)
-        keep = np.isin(ladder, [entropy_arg(J, d, kind) for J in range(start, depth + 1)])
-        assert 1 <= start <= depth and keep.sum() == depth - start + 1
-        trimmed = EntropyProfile(c=c, kind=kind, eps=ladder[keep], log_m=log_m[keep],
-                                 pool_size=pool_size)
-        j_star = stage_schedule(full, n, consts, kind, d, max_stages=max_stages)
-        assert stage_schedule(trimmed, n, consts, kind, d, max_stages=max_stages) == j_star
-        seen.add((start, depth, j_star))
-    assert (1, 1, 1) in seen
-    assert any(1 < start == j_star < depth for start, depth, j_star in seen)  # decided on the grid
-    assert any(1 < start == j_star + 1 for start, depth, j_star in seen)  # decided at the start
-    assert any(start == depth == max_stages for start, depth, j_star in seen)  # the clamp
+        j_star = stage_schedule(full.value, n, consts, kind, d, max_stages=max_stages)
+        read, reads = recording(full.value)
+        assert stage_schedule(read, n, consts, kind, d, max_stages=max_stages,
+                              ceiling=ceiling) == j_star
+        walk, explicit = walked(n, consts, d, kind, full.value, max_stages)
+        assert j_star == explicit
+        open_ = [J for J in walk if LOG2 < n * stage_eps(J, consts, d) ** 2 <= 2.0 * ceiling]
+        assert reads == [entropy_arg(J, d, kind) for J in open_]
+        seen.add((tuple(open_), j_star))
+    assert ((), 1) in seen  # J = 1 fails the log-2 floor
+    assert any(read == (j_star + 1,) and j_star > 1 for read, j_star in seen)  # decided at once
+    assert any(len(read) > 1 for read, _ in seen)  # the walk reads on past the first open J
+    if max_stages < 17:  # n = 1e11 reaches J = 16
+        assert ((), max_stages) in seen  # the ceiling settles every J up to the cap
 
 
 def test_schedule_start_is_the_pool_ceiling():
     consts = RateConstants(C=4.0, L_paper=1.0)
     # eps_J = 0.4 / 2^J for d = 1, so the ceiling log 193 settles J iff
-    # n > 2 log 193 (2^J / 0.4)^2; the start is the first J it leaves open
-    ceiling = 2.0 * np.log(193.0)
-    for n in (1, 100, 1e4, 1e6, 1e9):
-        depth = schedule_depth(n, consts, 1.0, max_stages=14)
-        open_ = [J for J in range(1, depth + 1) if n * (0.4 / 2.0 ** J) ** 2 <= ceiling]
-        assert schedule_start(n, consts, 1.0, 192, max_stages=14) == min(open_ + [depth])
-    assert schedule_start(1e12, consts, 1.0, 192, max_stages=14) == 14
+    # n (0.4/2^J)^2 > 2 log 193; a zero profile holds to the log-2 floor, so
+    # the walk reads exactly the J there that the ceiling leaves open
+    ceiling = np.log(193.0)
+    for n in (1, 100, 1e4, 1e6, 1e9, 1e12):
+        read, reads = recording(lambda arg: 0.0)
+        stage_schedule(read, n, consts, "bounded", 1.0, max_stages=14, ceiling=ceiling)
+        floor = [J for J in range(1, 15) if n * (0.4 / 2.0 ** J) ** 2 > LOG2]
+        open_ = [J for J in floor if n * (0.4 / 2.0 ** J) ** 2 <= 2.0 * ceiling]
+        assert reads == [entropy_arg(J, 1.0, "bounded") for J in open_]
+        assert open_ or n in (1, 1e12)
+    read, reads = recording(lambda arg: 0.0)
+    assert stage_schedule(read, 1e12, consts, "bounded", 1.0, max_stages=14,
+                          ceiling=ceiling) == 14 and reads == []
 
 
 def test_schedule_depth_is_the_log2_floor():
     consts = RateConstants(C=4.0, L_paper=1.0)
-    # eps_J = 0.2 / 2^(J-1) for d = 1, so n eps_J^2 > log 2 iff n > 25 log 2 4^(J-1)
-    for n, depth in [(1, 1), (69, 1), (70, 2), (277, 2), (278, 3), (1e12, 14)]:
-        assert schedule_depth(n, consts, 1.0, max_stages=14) == depth
+    # eps_J = 0.2 / 2^(J-1) for d = 1, so n eps_J^2 > log 2 iff n > 25 log 2 4^(J-1);
+    # a zero profile holds to that depth, and the walk reads no J past it
+    for n, depth in [(1, 0), (69, 1), (70, 2), (277, 2), (278, 3), (1e12, 14)]:
+        read, reads = recording(lambda arg: 0.0)
+        assert stage_schedule(read, n, consts, "bounded", 1.0, max_stages=14) == max(depth, 1)
+        assert reads == [entropy_arg(J, 1.0, "bounded") for J in range(1, depth + 1)]
 
 
 def test_schedule_adaptive_uses_doubled_argument():
@@ -479,6 +498,6 @@ def test_schedule_adaptive_uses_doubled_argument():
                           log_m=np.array([0.0, 0.0, 50.0, 50.0]), exact=False,
                           center=np.zeros(1))
     # blocked by the huge entropy at arg 4
-    assert stage_schedule(prof, n, consts, "adaptive", d) == 1
+    assert stage_schedule(prof.value, n, consts, "adaptive", d) == 1
     prof_b = EntropyProfile(c=consts.c, kind="global", eps=prof.eps, log_m=prof.log_m)
-    assert stage_schedule(prof_b, n, consts, "bounded", d) == 2  # argument 2 sees zero entropy
+    assert stage_schedule(prof_b.value, n, consts, "bounded", d) == 2  # argument 2 sees zero entropy

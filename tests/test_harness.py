@@ -24,9 +24,7 @@ from locent.estimator import (
     NoiseModel,
     PoolBudget,
     RateConstants,
-    entropy_arg,
-    schedule_depth,
-    stage_eps,
+    stage_schedule,
 )
 from locent.harness import (
     ExperimentConfig,
@@ -35,7 +33,6 @@ from locent.harness import (
     check_norm_concentration,
     check_test_error,
     concentration_bound_bounded,
-    constants_for,
     draw_data,
     fit_rate_slope,
     make_truth,
@@ -171,26 +168,29 @@ def _count_profiles(monkeypatch):
     calls = []
     real = harness.local_entropy
 
-    def counting(body, *a, **k):
-        calls.append(body.tag)
-        return real(body, *a, **k)
+    def counting(body, eps_grid, *a, **k):
+        calls.append((body.tag, *eps_grid))
+        return real(body, eps_grid, *a, **k)
 
     monkeypatch.setattr(harness, "local_entropy", counting)
     return calls
 
 
 def test_experiment_fixed_body_builds_one_profile(monkeypatch):
+    # every n reads the one body's profile, whose points are built once each
     calls = _count_profiles(monkeypatch)
     run_experiment(small_config(body_params={"p": 1, "m": 6}, replicates=2))
-    assert calls == ["monotone_grid:6"]
+    assert {tag for tag, *_ in calls} == {"monotone_grid:6"}
+    assert len(set(calls)) == len(calls)
 
 
 def test_experiment_auto_grid_builds_one_profile_per_n(monkeypatch):
     calls = _count_profiles(monkeypatch)
     cfg = small_config(replicates=2)
     run_experiment(cfg)
-    assert calls == [body_for_n(cfg, n).tag for n in cfg.n_grid]
-    assert len(set(calls)) == len(cfg.n_grid)
+    tags = [tag for tag, *_ in calls]
+    assert tags == [body_for_n(cfg, n).tag for n in cfg.n_grid]
+    assert len(set(tags)) == len(cfg.n_grid)
 
 
 @pytest.mark.parametrize("kw", [
@@ -199,47 +199,38 @@ def test_experiment_auto_grid_builds_one_profile_per_n(monkeypatch):
     {"condition_kind": "adaptive", "n_grid": (32, 64, 100)},
 ], ids=["auto-grid", "fixed-capped", "adaptive"])
 def test_experiment_builds_the_schedule_prefix(monkeypatch, kw):
-    # per body: the arguments of every J whose log-2 floor holds at the
-    # largest n sharing the body (J = 1 always), from the first J whose
-    # condition the pool ceiling log 193 leaves open at the smallest such n
-    # (at most that n's last J); nothing coarser or finer
-    grids = []
-    real = harness.local_entropy
-
-    def recording(body, eps_grid, *a, **k):
-        grids.append((body.tag, list(eps_grid)))
-        return real(body, eps_grid, *a, **k)
-
-    monkeypatch.setattr(harness, "local_entropy", recording)
+    # the sweep builds one profile point at a time, only the points some n's
+    # stage walk reads, and none twice: the n that share a body share them
     cfg = small_config(replicates=2, **kw)
+    grids, reads = [], set()
+    real_entropy, real_schedule = harness.local_entropy, harness.stage_schedule
+
+    def building(body, eps_grid, *a, **k):
+        grids.append((body.tag, list(eps_grid)))
+        return real_entropy(body, eps_grid, *a, **k)
+
+    def walking(log_m, n, *a, **k):
+        assert k["ceiling"] == np.log(cfg.profile_budget.pool_size + 1)
+
+        def read(eps):
+            reads.add((body_for_n(cfg, n).tag, eps))
+            return log_m(eps)
+        return real_schedule(read, n, *a, **k)
+
+    monkeypatch.setattr(harness, "local_entropy", building)
+    monkeypatch.setattr(harness, "stage_schedule", walking)
     run_experiment(cfg)
-    sizes = {}
-    for n in cfg.n_grid:
-        sizes.setdefault(body_for_n(cfg, n).tag, []).append(n)
-    expected = []
-    for tag, ns in sizes.items():
-        body = body_for_n(cfg, ns[0])
-        consts, d = constants_for(cfg, body), body.diameter()
-        kind = harness.resolve_condition_kind(cfg, body)
-
-        def floor(n):
-            return [J for J in range(1, cfg.max_stages + 1)
-                    if J == 1 or n * stage_eps(J, consts, d) ** 2 > np.log(2.0)]
-
-        lo = floor(min(ns))
-        start = next((J for J in lo if min(ns) * stage_eps(J, consts, d) ** 2
-                      <= 2.0 * np.log(cfg.profile_budget.pool_size + 1)), lo[-1])
-        read = [J for J in floor(max(ns)) if J >= start]
-        expected.append((tag, sorted(entropy_arg(J, d, kind) for J in read)))
-    assert grids == expected
-    assert all(len(grid) < cfg.max_stages + 3 for _, grid in grids)
+    assert all(len(grid) == 1 for _, grid in grids)
+    built = [(tag, grid[0]) for tag, grid in grids]
+    assert len(set(built)) == len(built)
+    assert set(built) == reads
 
 
-def _full_prefix_grid(cfg, body, constants, kind, sizes):
-    # the untrimmed run J = 1 .. depth at the largest n, as a reference
-    d = body.diameter()
-    depth = schedule_depth(np.max(sizes), constants, d, cfg.max_stages)
-    return sorted(entropy_arg(J, d, kind) for J in range(1, depth + 1))
+def _ladder_stages(cfg, n, body, constants, kind, counts):
+    # the reference: J* off the whole-ladder profile, read with no ceiling
+    prof = harness.schedule_profile(cfg, body, constants, kind)
+    return stage_schedule(prof.value, n, constants, kind, body.diameter(),
+                          max_stages=cfg.max_stages)
 
 
 @pytest.mark.parametrize("kw", [
@@ -248,8 +239,8 @@ def _full_prefix_grid(cfg, body, constants, kind, sizes):
     {"condition_kind": "adaptive"},
 ], ids=["shared-body", "adaptive-shared-body", "adaptive"])
 def test_trimmed_schedule_profile_writes_the_same_bytes(monkeypatch, kw):
-    # the points the pool ceiling settles change no stage count, so the sweep
-    # writes what the J = 1 .. depth profile gives, from fewer entropy pools
+    # the points the walk does not read change no stage count, so the sweep
+    # writes what the whole-ladder profile gives, from fewer entropy pools
     pools = []
     real = entropy.greedy_max_packing
 
@@ -266,7 +257,7 @@ def test_trimmed_schedule_profile_writes_the_same_bytes(monkeypatch, kw):
         return res.rows_csv(), res.summary_csv(), res.manifest_json(), len(pools)
 
     *trimmed, trimmed_pools = outputs()
-    monkeypatch.setattr(harness, "schedule_grid", _full_prefix_grid)
+    monkeypatch.setattr(harness, "schedule_stages", _ladder_stages)
     *full, full_pools = outputs()
     assert trimmed == full
     assert 0 < trimmed_pools < full_pools

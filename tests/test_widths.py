@@ -4,6 +4,7 @@ from scipy.optimize import minimize
 
 from locent.bodies import LinearL1, MonotoneGrid
 from locent.entropy import exact_local_entropy
+from locent.errors import InnerOptFailure
 from locent.packing import exhaustive_max_packing
 from locent.widths import (
     Box,
@@ -108,6 +109,17 @@ def test_sparse_cone_support_matches_nonlinear_solver():
     for g, v in zip(G, vals):
         assert abs(oracle(g) - v) < 1e-6
 
+
+
+@pytest.mark.parametrize("p", [6, 2], ids=["off-support", "full-support"])
+def test_sparse_cone_support_rejects_a_non_finite_draw(p):
+    # a nan draw leaves the multiplier undefined, on either branch of the solve
+    beta = np.zeros(p)
+    beta[0], beta[1] = 0.6, -0.4
+    G = np.ones((2, p))
+    G[1, 0] = np.nan
+    with pytest.raises(InnerOptFailure):
+        SparseTangentConeBall(beta).support_rows(G)
 
 @pytest.mark.parametrize("p,s", [(64, 4), (128, 8)])
 def test_sparse_cone_squared_width_bound(p, s):
