@@ -127,7 +127,11 @@ def dist(body: ConvexBody, f, g) -> float:
 def dist_rows(body: ConvexBody, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Distances from each row of ``rows`` to ``x``, reduced over the last
     axis, so ``dist_rows(body, pts[:, None, :], pts)`` is the pairwise matrix."""
-    d = rows - x
+    return _norm_rows(body, rows - x)
+
+
+def _norm_rows(body: ConvexBody, d: np.ndarray) -> np.ndarray:
+    """``dist_rows`` of the differences ``d`` already formed."""
     return body.metric_scale * np.sqrt((d * d).sum(axis=-1))
 
 
@@ -138,9 +142,11 @@ def pull_into_ball(body: ConvexBody, rows: np.ndarray, center: np.ndarray, radiu
     metric makes the contraction exact in distance.  A final corrective
     shrink guarantees dist <= radius despite rounding.
     """
-    d = dist_rows(body, rows, center)
+    out = rows - center  # the difference dist_rows forms
+    d = _norm_rows(body, out)
     t = np.where(d > radius, np.where(d > 0, radius / np.maximum(d, 1e-300), 1.0), 1.0)
-    out = center[None, :] + t[:, None] * (rows - center[None, :])
+    out *= t[:, None]
+    out += center  # center + t (rows - center)
     d2 = dist_rows(body, out, center)
     bad = d2 > radius
     if bad.any():

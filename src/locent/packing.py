@@ -18,7 +18,8 @@ from .errors import CapExceeded, DimensionMismatch, NonmemberCenter
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
-# rows per Gram block: 128 float32 rows against a 1,800-row pool (0.9 MB) stay in L2
+# rows per screen block: one float32 matmul of 128 rows against a 1,800-row pool
+# writes 0.9 MB, which the comparison then reads from L2
 SCREEN_BLOCK = 128
 U32 = 2.0 ** -24  # float32 unit roundoff
 
@@ -32,39 +33,50 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     unless it conflicts with a row already kept.  Returns the kept indices in
     ascending order; every candidate is within ``separation`` of one of them.
 
-    Each pair is screened once, in float32: ``|x|^2 + |y|^2 - 2 x.y``
-    against the threshold ``(separation / metric_scale)^2``, on the rows
-    centered on ``points[start]`` in float64 and scaled, threshold too, by
-    the power of two that brings the largest ``|x|^2`` into [0.25, 1).  The
-    scaling is exact and keeps float32 from overflowing or underflowing at
-    any radius or offset.  No scaled ``|x - y|`` reaches 2, so a scaled
-    separation above 3 is cut to 3 without changing a decision.  A block of
-    ``SCREEN_BLOCK`` rows is screened against itself and every later row
-    and writes straight into the conflict matrix.  Nothing is mirrored, so
-    a row's conflicts are its row of the matrix or its column.
+    Each pair is screened once, in float32, on the rows centered on
+    ``points[start]`` in float64 and scaled, threshold too, by the power of
+    two that brings the largest ``|x|^2`` into [0.25, 1).  The scaling is
+    exact and keeps float32 from overflowing or underflowing at any radius
+    or offset.  No scaled ``|x - y|`` reaches 2, so a scaled separation
+    above 3 is cut to 3 without changing a decision.  With the rows
+    ``a = [-2x, 1, |x|^2 - threshold]`` and ``b = [y, |y|^2, 1]``, one
+    ``K = dim + 2`` term product ``a.b`` is the squared distance less the
+    threshold ``(separation / metric_scale)^2``.  A block of
+    ``SCREEN_BLOCK`` rows costs one matmul against itself and every later
+    row and one comparison with the band below; its pairs ``i < j`` within
+    the band are the block's candidate edges.
 
     With ``u = 2^-24``, ``S = |x|^2 + |y|^2`` and ``B = 2 max|x|^2 +
     threshold >= S + threshold``, the screened value differs from the exact
     scaled squared distance less the threshold by at most
 
     * ``4 u S`` from rounding the coordinates to float32;
-    * ``2 dim u S`` from the Gram entry and the two squared norms, each
-      within ``gamma_dim`` of its sum of absolute terms in any summation
-      order (Higham, Accuracy and Stability, 3.1);
-    * ``4.5 u B`` from the three additions;
-    * ``u B`` from rounding the threshold to float32;
+    * ``dim u S`` from the two squared norms, each within ``gamma_dim`` of
+      its sum of absolute terms in any summation order (Higham, Accuracy
+      and Stability, 3.1);
+    * ``(2 dim + 4) u B`` from the product, within ``gamma_K`` of its
+      ``sum |a_t b_t| = 2 sum |x_t y_t| + |y|^2 + ||x|^2 - threshold|
+      <= 2 S + threshold <= 2 B``;
+    * ``u B`` from rounding ``|x|^2 - threshold`` and ``u B`` from rounding
+      the threshold to float32;
 
     and the float64 steps (centering, threshold, ``dist_rows``) round by
     less than ``(2 dim + 8) 2^-52 B <= u B``.  The band
-    ``(2 dim + 16) u B / (1 - 4 dim u)`` covers that sum; the ``5 u B`` it
-    has to spare takes float32 subnormals (below ``2^-149`` per term
-    against ``B >= 0.5``; rows all equal to the start round to exact
-    zeros) and the rounding of the band itself, and the division the
-    second-order terms.  A pair below the threshold by more
-    than the band is a conflict and one above it by more is not; when a
-    block has more pairs below ``+band`` than below ``-band``, the pairs in
-    between are decided by ``dist_rows``.  So every decision agrees with
-    ``dist_rows``, whatever the BLAS rounding.
+    ``(3 dim + 16) u B / (1 - 4 K u)`` covers that sum; the ``5 u B`` it has
+    to spare takes float32 subnormals (below ``2^-149`` per term against
+    ``B >= 0.5``; rows all equal to the start round to exact zeros) and the
+    rounding of the band itself, and the division the second-order terms.
+    A pair screened below ``-band`` is a conflict and one above ``+band`` is
+    not; the candidates in between are decided by ``dist_rows``.  So every
+    decision agrees with ``dist_rows``, whatever the BLAS rounding.
+
+    Each block's conflicts are kept as an edge list.  Only rows with an
+    edge are walked, ordered by ``dist_rows`` to the start among themselves
+    (the same values and stable order as a sort of every row).  Their
+    conflicts are stored both ways round in a matrix over those rows alone,
+    so the walk reads each kept row's conflicts as one row.  Memory is 16
+    bytes per conflict and one byte per pair of walked rows, besides the
+    blocks.
     """
     n, dim = points.shape
     x = points - points[start]
@@ -75,29 +87,47 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     sq = np.einsum("ij,ij->i", x, x)
     thr = np.float32(min(separation / body.metric_scale * scale, 3.0) ** 2)
     # one band for all pairs: the largest |x|^2 bounds every |x|^2 + |y|^2
-    band = np.float32((2 * dim + 16) * U32 / (1 - 4 * dim * U32)
+    band = np.float32((3 * dim + 16) * U32 / (1 - 4 * (dim + 2) * U32)
                       * (2.0 * float(sq.max()) + float(thr)))
-    conflict = np.zeros((n, n), dtype=bool)
+    a = np.empty((n, dim + 2), dtype=np.float32)
+    np.multiply(x, -2.0, out=a[:, :dim])
+    a[:, dim] = 1.0
+    a[:, dim + 1] = sq - thr
+    bt = np.empty((dim + 2, n), dtype=np.float32)
+    bt[:dim] = x.T
+    bt[dim] = sq
+    bt[dim + 1] = 1.0
+    upper = np.triu(np.ones((SCREEN_BLOCK, SCREEN_BLOCK), dtype=bool), 1)
+    walked = np.zeros(n, dtype=bool)
+    edges = []
     for lo in range(0, n, SCREEN_BLOCK):
-        hi = min(lo + SCREEN_BLOCK, n)
-        d2 = (-2.0 * x[lo:hi]) @ x[lo:].T
-        d2 += sq[lo:]
-        d2 += (sq[lo:hi] - thr)[:, None]  # now squared distance - threshold
-        hit = conflict[lo:hi, lo:]
-        np.less(d2, -band, out=hit)  # sure conflicts
-        maybe = d2 <= band
-        if np.count_nonzero(maybe) != np.count_nonzero(hit):
-            near_i, near_j = np.nonzero(maybe ^ hit)  # hit is a subset of maybe
-            for c in range(0, len(near_i), SCREEN_BLOCK):
-                i, j = near_i[c:c + SCREEN_BLOCK], near_j[c:c + SCREEN_BLOCK]
-                hit[i, j] = dist_rows(body, points[lo + i], points[lo + j]) <= separation
-        np.fill_diagonal(hit, False)  # a row does not conflict with itself
-    order = np.argsort(-dist_rows(body, points, points[start]), kind="stable")
-    order = np.concatenate(([start], order[order != start]))
-    free = np.ones(n, dtype=bool)
-    for i in order[(conflict.any(axis=1) | conflict.any(axis=0))[order]]:
-        if free[i]:
-            free &= ~(conflict[i] | conflict[:, i])
+        d2 = a[lo:lo + SCREEN_BLOCK] @ bt[:, lo:]  # squared distance - threshold
+        near = d2 <= band
+        near[:, :len(d2)] &= upper[:len(d2), :len(d2)]  # pairs i < j
+        near = np.flatnonzero(near)
+        hit = d2.ravel()[near] < -band  # sure conflicts
+        i, j = np.divmod(near, n - lo)
+        unsure = np.flatnonzero(~hit)
+        for c in range(0, len(unsure), SCREEN_BLOCK):
+            k = unsure[c:c + SCREEN_BLOCK]
+            hit[k] = dist_rows(body, points[lo + i[k]], points[lo + j[k]]) <= separation
+        i, j = lo + i[hit], lo + j[hit]
+        walked[i] = walked[j] = True
+        edges.append((i, j))
+    rows = np.flatnonzero(walked)
+    at = np.cumsum(walked) - 1  # position of a walked row in rows
+    conflict = np.zeros((len(rows), len(rows)), dtype=bool)
+    for i, j in edges:
+        conflict[at[i], at[j]] = conflict[at[j], at[i]] = True
+    order = np.argsort(-dist_rows(body, points[rows], points[start]), kind="stable")
+    if walked[start]:
+        order = np.concatenate(([at[start]], order[order != at[start]]))
+    kept = np.ones(len(rows), dtype=bool)
+    for k in order.tolist():
+        if kept[k]:
+            kept[conflict[k]] = False
+    free = ~walked
+    free[rows[kept]] = True
     return np.flatnonzero(free)
 
 
@@ -174,17 +204,19 @@ def greedy_max_packing(
     # a non-finite row would screen as conflict-free and be kept as a center
     if not np.isfinite(pool).all():
         raise ValueError("pool candidates must be finite")
-    centers = pool[greedy_select(body, pool, separation, start=0)]
+    kept = greedy_select(body, pool, separation, start=0)
     if validate:
-        pair = dist_rows(body, centers[:, None, :], centers)
-        if not (pair[np.triu_indices(len(centers), k=1)] > separation).all():
-            raise RuntimeError("greedy packing centers are not strictly separated")
+        # one center at a time against the pool: its distances to the later
+        # centers check separation, and the running minimum maximality
         mind = np.full(len(pool), np.inf)
-        for row in centers:
-            mind = np.minimum(mind, dist_rows(body, pool, row))
+        for k, i in enumerate(kept):
+            d = dist_rows(body, pool, pool[i])
+            if not (d[kept[k + 1:]] > separation).all():
+                raise RuntimeError("greedy packing centers are not strictly separated")
+            mind = np.minimum(mind, d)
         if mind.max() > separation + 1e-12:
             raise RuntimeError("greedy packing is not maximal in its pool")
-    return centers
+    return pool[kept]
 
 
 def exhaustive_max_packing(

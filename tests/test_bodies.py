@@ -172,7 +172,8 @@ def test_isotonic_rows_matches_scipy_oracle():
             assert np.max(np.abs(got - want)) <= tol
         assert (np.diff(out, axis=1) >= 0).all()
         ordered = np.sort(X, axis=1)
-        assert np.array_equal(proj.isotonic_rows(ordered), ordered)
+        got = proj.isotonic_rows(ordered)
+        assert np.array_equal(got, ordered) and not np.shares_memory(got, ordered)
 
 
 # -- the secular equation behind the ellipsoid and quad-ball projections -------

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,36 @@ def test_validate_raises_on_a_nonmember_pool_row(monkeypatch):
     with pytest.raises(RuntimeError, match="nonmember"):
         greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3, pool_size=128,
                            validate=True)
+
+
+def test_validate_raises_on_a_close_pair_of_later_centers(monkeypatch):
+    # the check walks the centers one at a time, so a close pair that does
+    # not involve the first center must still be caught
+    select = packing.greedy_select
+
+    def with_close_row(body, pts, sep, start):
+        kept = select(body, pts, sep, start)
+        d = dist_rows(body, pts, pts[kept[-1]])
+        return np.append(kept, np.flatnonzero((d > 0) & (d <= sep))[0])
+
+    monkeypatch.setattr(packing, "greedy_select", with_close_row)
+    with pytest.raises(RuntimeError, match="not strictly separated"):
+        greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3, pool_size=128,
+                           validate=True)
+
+
+def test_validate_holds_one_row_of_distances_at_a_time():
+    # 400 centers in dim 16: the k x k x dim pair tensor the check once built
+    # is 20 MB; one center against the pool is 51 kB
+    tracemalloc.start()
+    try:
+        centers = greedy_max_packing(LinearL1(16), np.zeros(16), 1.0, 0.1, pool_seed=0,
+                                     pool_size=400, validate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(centers) == 400
+    assert peak < 4e6
 
 
 def test_exhaustive_cap():
@@ -306,6 +337,73 @@ def test_greedy_select_float32_rounding_band_matches_dist_rows_oracle():
     others[np.arange(len(pts)), partner] = np.inf
     np.fill_diagonal(others, np.inf)
     assert others.min() > 1.5 * sep
+    _check_against_oracle(body, pts, sep)
+
+
+def _isolated_pairs(steps, sep=0.37, spread=100.0, dim=16):
+    """Pairs at ``sep * (1 + step)``, anchored at random in a cube of side
+    ``spread * sep``: after centering and scaling |x|^2 is of order 1 and
+    the threshold of order 1e-5, so the folded |x|^2 column carries the
+    float32 rounding of each pair's value, and each decision moves the
+    selection."""
+    rng = np.random.default_rng(5)
+    anchors = spread * sep * rng.random((len(steps), dim))
+    unit = rng.standard_normal(anchors.shape)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    pts = np.vstack([anchors, anchors + (sep * (1 + np.asarray(steps)))[:, None] * unit])
+    body = LinearL1(dim, 1e4)
+    pair = dist_rows(body, pts[:, None, :], pts)
+    partner = np.concatenate([np.arange(len(steps)) + len(steps), np.arange(len(steps))])
+    others = pair.copy()
+    others[np.arange(len(pts)), partner] = np.inf
+    np.fill_diagonal(others, np.inf)
+    assert others.min() > 10 * sep
+    return body, pts, sep
+
+
+def test_greedy_select_folded_norms_rounding_band_matches_dist_rows_oracle():
+    # pool spread 100x the separation: the screened value is a difference of
+    # terms near 1 with a threshold near 1e-5, so float32 decides a pair at
+    # sep * (1 +- 1e-3) by its rounding, and only the band sends it to dist_rows
+    steps = np.repeat([-0.5, -1e-2, -1e-3, -1e-4, -1e-5, -1e-6,
+                       1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.5], 6)
+    body, pts, sep = _isolated_pairs(steps)
+    pair = dist_rows(body, pts[:, None, :], pts)
+    half = len(steps)
+    np.testing.assert_array_equal(pair[np.arange(half), np.arange(half) + half] <= sep, steps < 0)
+    _check_against_oracle(body, pts, sep)
+
+
+def _clusters_and_free_ends(rng):
+    # tight clusters far apart, between two isolated rows that start the walk
+    centers = 10 * rng.random((30, 1, 2))
+    clusters = (centers + 0.01 * rng.standard_normal((30, 5, 2))).reshape(-1, 2)
+    return np.vstack([[-50.0, -50.0], clusters, [60.0, 60.0]]), 0.1
+
+
+# each case: (rows and separation, the conflict degrees it must have)
+SCREEN_CASES = {
+    # pairs just above the separation, where float32 alone sees conflicts
+    "no-conflicts": (lambda rng: _isolated_pairs(np.repeat([1e-6, 1e-5, 1e-4, 1e-3], 10))[1:],
+                     lambda deg: (deg == 0).all()),
+    "free-start": (_clusters_and_free_ends,
+                   lambda deg: deg[0] == deg[-1] == 0 and (deg[1:-1] >= 1).all()),
+    # 200 rows within 0.4 of each other: every pair conflicts, across blocks
+    "complete": (lambda rng: (0.2 * rng.random((200, 3)), 0.4),
+                 lambda deg: (deg == 199).all()),
+    # about 40 conflicts per row, as in the ellipsoid sweep's packings
+    "dense-40": (lambda rng: (rng.random((400, 2)), 0.178),
+                 lambda deg: 30 <= deg.mean() <= 50),
+}
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_greedy_select_conflict_graphs_match_dist_rows_oracle(case):
+    build, degrees_ok = SCREEN_CASES[case]
+    pts, sep = build(np.random.default_rng(3))
+    body = LinearL1(pts.shape[1], 1e4)
+    pair = dist_rows(body, pts[:, None, :], pts)
+    assert degrees_ok((pair <= sep).sum(axis=1) - 1)
     _check_against_oracle(body, pts, sep)
 
 
