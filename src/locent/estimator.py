@@ -247,14 +247,23 @@ def structured_candidates(body: ConvexBody, center: np.ndarray, radius: float) -
 # ---------------------------------------------------------------------------
 
 
+# one record per packing stage; the column names are the trace.json keys
+STAGE_DTYPE = np.dtype([("radii", "f8"), ("packing_sizes", "i8"), ("chosen_indices", "i8")])
+
+
 @dataclass
 class EstimatorTrace:
-    """The iterate sequence with per-stage radii, packing sizes, and choices."""
+    """The iterates and the per-stage table.
+
+    ``per_stage`` has one :data:`STAGE_DTYPE` record per packing stage k =
+    1 .. J-1 (ball radius d/2^(k-1), packing size, chosen index), and
+    ``to_json`` writes each column under its dtype name, so the table holds
+    deterministic values only.  ``upsilon`` and ``truth_distances`` are per
+    iterate, the anchor first.
+    """
 
     upsilon: np.ndarray  # (J, dim) iterates, the anchor first
-    radii: list[float]
-    packing_sizes: list[int]
-    chosen_indices: list[int]
+    per_stage: np.ndarray  # (J-1,) STAGE_DTYPE records
     diameter: float
     truth_distances: np.ndarray | None = None
 
@@ -271,11 +280,11 @@ class EstimatorTrace:
         dist(Y_j, Y_k) <= d / 2^(j-2)."""
         ys = self.upsilon
         gap = dist_rows(body, ys[:, None, :], ys)
-        steps = np.diagonal(gap, 1)
-        over = np.flatnonzero(steps > np.asarray(self.radii) * (1.0 + CAUCHY_RTOL))
+        steps, radii = np.diagonal(gap, 1), self.per_stage["radii"]
+        over = np.flatnonzero(steps > radii * (1.0 + CAUCHY_RTOL))
         if len(over):
             j = over[0]
-            raise AssertionError(f"stage {j + 1} moved {float(steps[j])} > radius {self.radii[j]}")
+            raise AssertionError(f"stage {j + 1} moved {float(steps[j])} > radius {radii[j]}")
         # = d / 2^((j+1)-2) with 1-based j+1
         bound = self.diameter / 2.0 ** (np.arange(len(ys)) - 1.0)
         over = np.argwhere(np.triu(gap > bound[:, None] * (1.0 + CAUCHY_RTOL), 1))
@@ -288,13 +297,11 @@ class EstimatorTrace:
         payload = {
             "total_stages": self.total_stages,
             "diameter": self.diameter,
-            "radii": [float(r) for r in self.radii],
-            "packing_sizes": list(self.packing_sizes),
-            "chosen_indices": list(self.chosen_indices),
-            "final_coords": [float(v) for v in self.final],
+            "final_coords": self.final.tolist(),
+            **{name: self.per_stage[name].tolist() for name in STAGE_DTYPE.names},
         }
         if self.truth_distances is not None:
-            payload["truth_distances"] = [float(t) for t in self.truth_distances]
+            payload["truth_distances"] = self.truth_distances.tolist()
         return canonical_json(payload)
 
 
@@ -331,9 +338,7 @@ def run_algorithm1(
 
     cur = body.project(np.zeros(body.dim))
     ups = [cur]
-    radii: list[float] = []
-    sizes: list[int] = []
-    chosen: list[int] = []
+    per_stage = np.empty(stages - 1, STAGE_DTYPE)
 
     for k in range(1, stages):
         radius = d / 2.0 ** (k - 1)
@@ -355,22 +360,13 @@ def run_algorithm1(
         pick = int(ties[0])
         cur = rows[pick]
         ups.append(cur)
-        radii.append(radius)
-        sizes.append(len(rows))
-        chosen.append(pick)
+        per_stage[k - 1] = (radius, len(rows), pick)
 
     upsilon = np.stack(ups)
     truth_d = None
     if eval_truth is not None:
         truth_d = dist_rows(body, upsilon, np.asarray(eval_truth, dtype=np.float64))
-    trace = EstimatorTrace(
-        upsilon=upsilon,
-        radii=radii,
-        packing_sizes=sizes,
-        chosen_indices=chosen,
-        diameter=d,
-        truth_distances=truth_d,
-    )
+    trace = EstimatorTrace(upsilon, per_stage, d, truth_d)
     trace.validate_cauchy(body)
     return trace
 

@@ -408,10 +408,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                                    + ", ".join(f"{e} x{k}" for e, k in why.items()))
 
     mean_risk = {n: float(np.nanmean(risks[n])) for n in cfg.n_grid}
-    counts = {n: int(np.sum(np.isfinite(risks[n]))) for n in cfg.n_grid}
+    finite = {n: int(np.sum(np.isfinite(risks[n]))) for n in cfg.n_grid}
     # a single finite replicate has no standard error: NaN
     std_error = {
-        n: float(np.nanstd(risks[n], ddof=1) / np.sqrt(counts[n])) if counts[n] > 1 else np.nan
+        n: float(np.nanstd(risks[n], ddof=1) / np.sqrt(finite[n])) if finite[n] > 1 else np.nan
         for n in cfg.n_grid
     }
 

@@ -59,7 +59,6 @@ def solve_eps_star(
     n: int,
     sigma: float = 1.0,
     diameter: float | None = None,
-    max_rel_slack: float = 0.15,
 ) -> RateCertificate:
     """sup{eps : n eps^2 <= log M(eps)} with the Lemma-style lower fill-in.
 
@@ -70,7 +69,7 @@ def solve_eps_star(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    prof = profile.monotonized(max_rel_slack)
+    prof = profile.monotonized()
     digest = f"{prof.kind}:{len(prof.eps)}pts:c={prof.c}"
 
     if np.all(prof.log_m <= 0.0):

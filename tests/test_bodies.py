@@ -13,7 +13,7 @@ from locent.bodies import (
     make_body,
     moment_ratio_check,
 )
-from locent.errors import DimensionMismatch, NoConvergence
+from locent.errors import Degenerate, DimensionMismatch, NoConvergence
 from locent.harness import TruthSpec, make_truth
 
 ALL_BODIES = [
@@ -113,12 +113,15 @@ def test_projection_identity_on_members(body):
         assert np.allclose(body.project(row), row, atol=1e-8)
 
 
-@pytest.mark.parametrize("body", ALL_BODIES, ids=IDS)
+@pytest.mark.parametrize("body", ALL_BODIES + [HolderGrid(1.0, 1.0, 1)],
+                         ids=IDS + ["holder_grid-1"])
 def test_projection_idempotent_and_nonexpansive(body):
+    # a Holder grid with m = 1 has no lag constraints, only its norm ball
     rng = np.random.default_rng(2)
     k = 16 if isinstance(body, HolderGrid) else 40
     raw = rng.standard_normal((k, body.dim)) * 1.25
     proj1 = body.project_rows(raw)
+    assert all(body.contains_coords(row, 1e-8) for row in proj1)
     proj2 = body.project_rows(proj1)
     assert np.max(np.abs(proj2 - proj1)) < 1e-8
     # non-expansiveness on random pairs
@@ -401,6 +404,12 @@ def test_moment_ratio_rademacher_one_sparse():
 def test_moment_check_rejects_grid_classes():
     with pytest.raises(ValueError):
         moment_ratio_check(MonotoneGrid(1, 4), DesignDistribution("gaussian"))
+
+
+def test_moment_check_rejects_coinciding_pairs():
+    # every member of an l1 ball of radius 1e-14 lies within 2e-14 of every other
+    with pytest.raises(Degenerate, match="sampled pair coincides"):
+        moment_ratio_check(LinearL1(3, 1e-14), DesignDistribution("gaussian"), trials=100)
 
 
 # -- factory -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from locent.bodies import (
 from locent.entropy import EntropyProfile
 from locent.errors import DataDimensionMismatch, IdenticalHypotheses
 from locent.estimator import (
+    STAGE_DTYPE,
     EstimatorTrace,
     NoiseModel,
     PoolBudget,
@@ -132,7 +133,7 @@ def test_validate_cauchy_rejects_tampered_traces():
 
     def trace(xs, radii):
         ups = np.array([[x, 0.0] for x in xs])
-        return EstimatorTrace(ups, radii, [1] * len(radii), [0] * len(radii), d)
+        return EstimatorTrace(ups, np.array([(r, 1, 0) for r in radii], STAGE_DTYPE), d)
 
     trace([0.0, 0.5, 0.5, 0.25], [1.0, 0.5, 0.25]).validate_cauchy(body)
     with pytest.raises(AssertionError, match=r"stage 2 moved 0\.5 > radius 0\.25"):
@@ -161,9 +162,22 @@ def test_run_deterministic_bit_for_bit():
     consts = RateConstants.unbounded(4.0, 1.0, body.diameter(), 1.0)
     t1 = run_algorithm1(body, data, consts, stages=5, seed=13)
     t2 = run_algorithm1(body, data, consts, stages=5, seed=13)
-    assert t1.chosen_indices == t2.chosen_indices
+    assert np.array_equal(t1.per_stage, t2.per_stage)
     assert np.array_equal(t1.upsilon, t2.upsilon)
     assert t1.to_json() == t2.to_json()
+
+
+def test_exact_rss_ties_go_to_the_lexicographically_least_row():
+    # y = 0 and design rows (t, 0) give every row with a zero first coordinate
+    # an RSS of exactly 0, so stage 1 ties the anchor (index 0), (0, -1) and
+    # (0, 1); the least row in lexicographic order is (0, -1), at index 6
+    body = LinearL1(2)
+    t = np.array([-1.0, 0.5, 2.0])
+    data = RegressionData(y=np.zeros(3), x=np.column_stack([t, np.zeros(3)]))
+    trace = run_algorithm1(body, data, RateConstants(C=4.0, L_paper=1.0), stages=2, seed=0)
+    assert data.rss(trace.upsilon).tolist() == [0.0, 0.0]
+    assert trace.per_stage["chosen_indices"].tolist() == [6]
+    np.testing.assert_array_equal(trace.final, [0.0, -1.0])
 
 
 def test_zero_noise_injected_truth_final_distance_bound():
@@ -458,7 +472,7 @@ def test_schedule_start_gives_the_ladder_j_star(kind, max_stages):
         assert ((), max_stages) in seen  # the ceiling settles every J up to the cap
 
 
-def test_schedule_start_is_the_pool_ceiling():
+def test_schedule_skips_the_j_the_pool_ceiling_settles():
     consts = RateConstants(C=4.0, L_paper=1.0)
     # eps_J = 0.4 / 2^J for d = 1, so the ceiling log 193 settles J iff
     # n (0.4/2^J)^2 > 2 log 193; a zero profile holds to the log-2 floor, so
@@ -476,7 +490,7 @@ def test_schedule_start_is_the_pool_ceiling():
                           ceiling=ceiling) == 14 and reads == []
 
 
-def test_schedule_depth_is_the_log2_floor():
+def test_schedule_reads_no_j_past_the_log2_floor():
     consts = RateConstants(C=4.0, L_paper=1.0)
     # eps_J = 0.2 / 2^(J-1) for d = 1, so n eps_J^2 > log 2 iff n > 25 log 2 4^(J-1);
     # a zero profile holds to that depth, and the walk reads no J past it

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from math import comb
 
 import numpy as np
@@ -141,6 +142,27 @@ def test_experiment_reproducible_byte_identical():
     assert a.rows_csv() == b.rows_csv()
     assert a.summary_csv() == b.summary_csv()
     assert a.manifest_json() == b.manifest_json()
+
+
+@pytest.mark.parametrize("kw, n, pin", [
+    ({}, 1024, "b0eff25046f6eac435c319bfbd086eb3710cc66262c366f456ea80346d72f552"),
+    ({"body_kind": "linear_l1", "body_params": {"p": 4}, "truth": TruthSpec("sparse", s=2, seed=3),
+      "theory": None, "theory_params": {}},
+     1024, "16ed7688923e6fbf2440719e3053477c1c05a23b7019667cdecfee6042aafd24"),
+    ({"condition_kind": "adaptive"}, 256,
+     "d69ae71336e73ba2f56b4f3f3497e07c68707e8237ad4e284a551d58891b9e49"),
+], ids=["bounded", "unbounded", "adaptive"])
+def test_replicate_trace_bytes_are_pinned(kw, n, pin):
+    # what `locent estimate --n N` writes: a change to the schedule, the
+    # estimator or the trace's JSON form that moves any byte changes the pin
+    cfg = small_config(**kw)
+    body = body_for_n(cfg, n)
+    constants = harness.constants_for(cfg, body)
+    kind = harness.resolve_condition_kind(cfg, body)
+    stages = harness.schedule_stages(cfg, n, body, constants, kind, {})
+    trace = harness.run_replicate(cfg, n, 0, stages, body, make_truth(body, cfg.truth))
+    assert stages > 2
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == pin
 
 
 def test_experiment_auto_grid_resolution():

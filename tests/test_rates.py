@@ -103,7 +103,7 @@ def test_monotonization_slack_guard():
     prof = EntropyProfile(c=4.0, kind="global", eps=np.array([0.1, 0.2, 0.4]),
                           log_m=np.array([1.0, 0.5, 1.0]), exact=False)
     with pytest.raises(NonMonotoneProfile):
-        solve_eps_star(prof, 100, max_rel_slack=0.15)
+        solve_eps_star(prof, 100)
 
 
 def test_regime_flag():
