@@ -17,7 +17,6 @@ from .bodies import (
 from .entropy import (
     EntropyBudget,
     EntropyProfile,
-    entropy_sandwich_check,
     exact_local_entropy,
     local_entropy,
 )

@@ -31,7 +31,13 @@ MEMBERSHIP_TOL = 1e-8
 
 
 class ConvexBody:
-    """Shared interface of the class bodies."""
+    """Shared interface of the class bodies.
+
+    A body gives at least ``diameter``, ``project_rows``, ``contains_coords``,
+    ``sample_rows`` and ``extreme_points``, which must return at least one
+    member: pools, global profiles, adaptive centers and the CLI checks start
+    from them.
+    """
 
     kind: str = ""
     dim: int = 0
@@ -62,8 +68,8 @@ class ConvexBody:
         raise NotImplementedError
 
     def extreme_points(self) -> np.ndarray:
-        """Heuristic extreme members, rows of a (k, dim) array."""
-        return np.empty((0, self.dim))
+        """Heuristic extreme members, rows of a (k >= 1, dim) array."""
+        raise NotImplementedError
 
     # -- design ------------------------------------------------------------
 
@@ -106,14 +112,21 @@ class ConvexBody:
         return self.point(self.project_rows(x[None, :])[0])
 
     def sample_member(self, seed_or_rng) -> np.ndarray:
-        rng = _as_rng(seed_or_rng)
-        return self.point(self.sample_rows(1, rng)[0])
+        # default_rng returns a Generator it is given unaltered
+        return self.point(self.sample_rows(1, np.random.default_rng(seed_or_rng))[0])
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+def _blend_toward(rows: np.ndarray, rng: np.random.Generator, corners) -> np.ndarray:
+    """Blend a random 30% of ``rows`` in place toward ``corners(k)``, k member
+    rows (or (k, 1) constants), so sampled pairs reach the diameter; convex
+    combinations of members stay in the body."""
+    pick = rng.random(len(rows)) < 0.3
+    if pick.any():
+        k = int(pick.sum())
+        corner = corners(k)
+        w = rng.random(k)[:, None]
+        rows[pick] = (1.0 - w) * rows[pick] + w * corner
+    return rows
 
 
 def dist(body: ConvexBody, f, g) -> float:
@@ -198,19 +211,18 @@ class LinearL1(LinearBody):
     def sample_rows(self, count, rng):
         g = rng.standard_normal((count, self.p))
         scale = self.radius * (0.25 + 2.75 * rng.random(count)) / np.sqrt(self.p)
-        rows = self.project_rows(g * scale[:, None])
-        # blend a fraction toward random vertices so sampled pairs reach the
-        # diameter; blends with members stay members
-        pick = rng.random(count) < 0.3
-        if pick.any():
-            k = int(pick.sum())
+
+        def vertices(k):
+            # blend toward random vertices +-radius e_i; the right side (the
+            # sign) draws before the axis, and swapping them changes every
+            # l1 sample
             vert = np.zeros((k, self.p))
             vert[np.arange(k), rng.integers(0, self.p, size=k)] = (
                 self.radius * (rng.integers(0, 2, size=k) * 2.0 - 1.0)
             )
-            w = rng.random(k)[:, None]
-            rows[pick] = (1.0 - w) * rows[pick] + w * vert
-        return rows
+            return vert
+
+        return _blend_toward(self.project_rows(g * scale[:, None]), rng, vertices)
 
     def extreme_points(self):
         eye = np.eye(self.p) * self.radius
@@ -364,15 +376,9 @@ class MonotoneGrid(ConvexBody):
             if n_raw:
                 rows.append(self.feasible_rows(rng.random((n_raw, self.dim))))
             base = np.vstack(rows)
-        # blend a fraction toward the constant-0/1 corners for extremal
-        # coverage; convex combinations with members stay in the body
-        pick = rng.random(count) < 0.3
-        if pick.any():
-            k = int(pick.sum())
-            corner = rng.integers(0, 2, size=k).astype(np.float64)
-            weight = rng.random(k)
-            base[pick] = (1.0 - weight[:, None]) * base[pick] + (weight * corner)[:, None]
-        return base
+        # blend toward the constant-0/1 corners
+        return _blend_toward(
+            base, rng, lambda k: rng.integers(0, 2, size=k).astype(np.float64)[:, None])
 
     def extreme_points(self):
         return np.vstack([np.zeros(self.dim), np.ones(self.dim)])
@@ -477,14 +483,10 @@ class HolderGrid(ConvexBody):
         # one node has no lags (t = inf) and no fluctuation; inf * 0 is NaN
         fluct *= (np.where(np.isinf(t), 0.0, t) * rng.random(count))[:, None]
         level = self.gamma * rng.uniform(-1.0, 1.0, size=count)
-        rows = level[:, None] + fluct
-        # blend a fraction toward the +/- gamma constants for extremal coverage
-        pick = rng.random(count) < 0.3
-        if pick.any():
-            k = int(pick.sum())
-            corner = self.gamma * (rng.integers(0, 2, size=k) * 2.0 - 1.0)
-            weight = rng.random(k)
-            rows[pick] = (1.0 - weight[:, None]) * rows[pick] + (weight * corner)[:, None]
+        # blend toward the +/- gamma constants
+        rows = _blend_toward(
+            level[:, None] + fluct, rng,
+            lambda k: (self.gamma * (rng.integers(0, 2, size=k) * 2.0 - 1.0))[:, None])
         # the norm cap is homogeneous, so one radial scale finishes the job
         n = np.linalg.norm(rows, axis=1)
         cap = self.gamma * np.sqrt(self.m)

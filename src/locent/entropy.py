@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bodies import ConvexBody, dist_rows
-from .errors import GridMismatch, NonMonotoneProfile
+from .errors import NonMonotoneProfile
 from .packing import exhaustive_max_packing, greedy_max_packing
 from .seeds import derive_seed
 
@@ -153,7 +153,7 @@ def _global_centers(body: ConvexBody, budget: EntropyBudget, seed: int) -> np.nd
     if budget.centers > 0:
         rng = np.random.default_rng(derive_seed(seed, "entropy-centers"))
         rows.append(body.sample_rows(budget.centers, rng))
-    pts = np.vstack([r for r in rows if len(r)])
+    pts = np.vstack(rows)
     _, keep = np.unique(np.round(pts, 12), axis=0, return_index=True)
     return pts[np.sort(keep)]
 
@@ -240,77 +240,3 @@ def exact_local_entropy(
         c=float(c), kind=mode, eps=eps_grid, log_m=log_m, exact=True,
         center=ctr, pool_size=len(pts), seed=0,
     )
-
-
-# ---------------------------------------------------------------------------
-# Global-vs-local sandwich check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TabulatedEntropy:
-    """Global packing log-counts tabulated on an explicit separation grid."""
-
-    eps: np.ndarray
-    log_m: np.ndarray
-    exact: bool = True
-
-    def __post_init__(self):
-        self.eps = np.asarray(self.eps, dtype=np.float64)
-        self.log_m = np.asarray(self.log_m, dtype=np.float64)
-
-    def __call__(self, eps: float) -> float:
-        match = np.isclose(self.eps, eps, rtol=1e-9, atol=0.0)
-        if not match.any():
-            raise GridMismatch(f"global entropy table lacks eps={eps}")
-        return float(self.log_m[np.argmax(match)])
-
-
-@dataclass
-class SandwichRow:
-    eps: float
-    upper: float  # log M(eps/c, F)
-    local: float  # log M_loc(eps, c)
-    lower: float  # log M(eps/c, F) - log M(eps, F)
-    upper_ok: bool
-    lower_ok: bool
-    upper_slack: float
-    lower_slack: float
-
-
-@dataclass
-class SandwichReport:
-    rows: list[SandwichRow]
-    exact: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.upper_ok and r.lower_ok for r in self.rows)
-
-
-def entropy_sandwich_check(global_packing_fn, profile: EntropyProfile) -> SandwichReport:
-    """Check log M(eps/c) >= log M_loc(eps, c) >= log M(eps/c) - log M(eps).
-
-    ``global_packing_fn`` maps a separation to the global log packing count
-    and must cover eps and eps/c for every profile grid point (GridMismatch
-    otherwise).  On exact counts the booleans are sharp; greedy counts carry
-    slack annotations.
-    """
-    exact = profile.exact and getattr(global_packing_fn, "exact", False)
-    rows = []
-    for eps, local in zip(profile.eps, profile.log_m):
-        up = global_packing_fn(eps / profile.c)
-        low = up - global_packing_fn(eps)
-        rows.append(
-            SandwichRow(
-                eps=float(eps),
-                upper=up,
-                local=float(local),
-                lower=low,
-                upper_ok=bool(up >= local - 1e-12),
-                lower_ok=bool(local >= low - 1e-12),
-                upper_slack=float(up - local),
-                lower_slack=float(local - low),
-            )
-        )
-    return SandwichReport(rows=rows, exact=exact)

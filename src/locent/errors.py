@@ -13,10 +13,6 @@ class CapExceeded(LocentError):
     """Candidate count exceeds the exhaustive-search cap."""
 
 
-class GridMismatch(LocentError):
-    """Two entropy tables do not share the required epsilon grid."""
-
-
 class DimensionMismatch(LocentError):
     """Coordinate vector length differs from the class dimension."""
 

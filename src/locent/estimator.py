@@ -217,22 +217,19 @@ def structured_candidates(body: ConvexBody, center: np.ndarray, radius: float) -
     steps.
 
     Pure function of (body, center, radius); contraction into the ball
-    happens inside the pool builder.  A body with no extreme points and
-    dim > MAX_AXIS_DIMS gets no extras, a (0, dim) array.
+    happens inside the pool builder.
     """
-    rows = [np.empty((0, body.dim))]
     ext = body.extreme_points()
-    if len(ext):
-        rows.append(ext)
-        # vertex blends at several step scales, including small away
-        # steps; projection restores feasibility for the away direction
-        diff = ext - center[None, :]
-        norms = np.maximum(dist_rows(body, ext, center), 1e-300)
-        for t in (0.5, 0.25):
-            frac = np.minimum(t * radius / norms, 1.0)
-            rows.append(center[None, :] + frac[:, None] * diff)
-        away = center[None, :] - (0.125 * radius / norms)[:, None] * diff
-        rows.append(body.project_rows(away))
+    rows = [ext]
+    # vertex blends at several step scales, including small away steps;
+    # projection restores feasibility for the away direction
+    diff = ext - center[None, :]
+    norms = np.maximum(dist_rows(body, ext, center), 1e-300)
+    for t in (0.5, 0.25):
+        frac = np.minimum(t * radius / norms, 1.0)
+        rows.append(center[None, :] + frac[:, None] * diff)
+    away = center[None, :] - (0.125 * radius / norms)[:, None] * diff
+    rows.append(body.project_rows(away))
     if body.dim <= MAX_AXIS_DIMS:
         coord_step = radius / body.metric_scale
         eye = np.eye(body.dim)
@@ -388,14 +385,6 @@ def entropy_arg(J: int, diameter: float, kind: str) -> float:
     return 2.0 * base if kind == "adaptive" else base
 
 
-def _above_floor(n: int, eps: float) -> bool:
-    return n * eps * eps > LOG2
-
-
-def _above_entropy(n: int, eps: float, log_m: float) -> bool:
-    return n * eps * eps > 2.0 * log_m
-
-
 def stage_schedule(
     log_m,
     n: int,
@@ -426,9 +415,9 @@ def stage_schedule(
 
     def holds(J: int) -> bool:
         eps = stage_eps(J, constants, diameter)
-        return _above_floor(n, eps) and (
-            _above_entropy(n, eps, ceiling)
-            or _above_entropy(n, eps, log_m(entropy_arg(J, diameter, kind))))
+        ne2 = n * eps * eps
+        return ne2 > LOG2 and (
+            ne2 > 2.0 * ceiling or ne2 > 2.0 * log_m(entropy_arg(J, diameter, kind)))
 
     j_star = 1
     if holds(1):

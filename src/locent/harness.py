@@ -179,6 +179,8 @@ class ExperimentConfig:
             raise ValueError("max_stages >= 1")
         if any(nxt <= prev for prev, nxt in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        if not self.n_grid or self.n_grid[0] < 1:
+            raise ValueError("n_grid needs at least one n, each >= 1")
         if self.truth.kind == "sparse" and "p" in self.body_params:
             if self.truth.s > int(self.body_params["p"]):
                 raise ValueError("sparse truth needs s <= p")
@@ -240,10 +242,8 @@ def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateCon
     if kind == "adaptive":
         # the schedule's infimum over centers is approximated by the
         # least-entropy heuristic extreme point (vertices minimize it)
-        ext = body.extreme_points()
-        center = ext[0] if len(ext) else body.project(np.zeros(body.dim))
         return local_entropy(
-            body, grid, 2.0 * constants.c, mode="adaptive", center=center,
+            body, grid, 2.0 * constants.c, mode="adaptive", center=body.extreme_points()[0],
             budget=cfg.profile_budget, seed=seed,
         )
     return local_entropy(body, grid, constants.c, mode="global",
@@ -492,7 +492,7 @@ def check_norm_concentration(
     delta: float,
     trials: int = 10_000,
     seed: int = 0,
-    design: DesignDistribution | None = None,
+    design: DesignDistribution = DesignDistribution("gaussian"),
     b: float = 0.125,
     alpha: float | None = None,
 ) -> ConcentrationReport:
@@ -521,8 +521,6 @@ def check_norm_concentration(
             )
         bound = concentration_bound_unbounded(delta, C, body.diameter(), alpha, b)
         case = "unbounded"
-    if design is None:
-        design = DesignDistribution("gaussian")
     rng = rng_for(seed, "concentration")
     close, far = _pair_sums(
         ((c * (A * A)).sum(axis=1), (c * (B * B)).sum(axis=1))
@@ -568,7 +566,7 @@ def check_test_error(
     constants: RateConstants,
     trials: int = 10_000,
     seed: int = 0,
-    design: DesignDistribution | None = None,
+    design: DesignDistribution = DesignDistribution("gaussian"),
 ) -> TestErrorReport:
     """Error frequencies of the residual-comparison test against the
     3 exp(-L delta^2) bound.
@@ -596,8 +594,6 @@ def check_test_error(
     if n * dist(body, gc, h1_bar) ** 2 >= delta2:
         raise PreconditionViolated("mirrored H1 truth violates the proximity condition")
     bound = 3.0 * np.exp(-constants.L_paper * delta2)
-    if design is None:
-        design = DesignDistribution("gaussian")
     u, s = gc - fc, fc + gc
     mag_u = np.abs(fc) + np.abs(gc)
 

@@ -4,6 +4,7 @@ from scipy.optimize import isotonic_regression
 
 from locent import projections as proj
 from locent.bodies import (
+    ConvexBody,
     DesignDistribution,
     HolderGrid,
     LinearEllipsoid,
@@ -15,6 +16,8 @@ from locent.bodies import (
 )
 from locent.errors import Degenerate, DimensionMismatch, NoConvergence
 from locent.harness import TruthSpec, make_truth
+
+from conftest import SingletonBody, UnitBox
 
 ALL_BODIES = [
     LinearL1(5, 1.0),
@@ -267,6 +270,21 @@ def test_samples_are_members(body):
     rows = body.sample_rows(1000, rng)
     assert np.isfinite(rows).all()
     assert all(body.contains_coords(r, 1e-9) for r in rows)
+
+
+@pytest.mark.parametrize("body", ALL_BODIES + [UnitBox(2), SingletonBody([0.25, 0.5])],
+                         ids=IDS + ["unit_box-2", "singleton-2"])
+def test_extreme_points_are_members(body):
+    # pools, global profiles, adaptive centers and the CLI checks start from
+    # them, with no fallback for a body that has none
+    ext = body.extreme_points()
+    assert ext.ndim == 2 and len(ext) >= 1 and ext.shape[1] == body.dim
+    assert all(body.contains_coords(row) for row in ext)
+
+
+def test_extreme_points_are_required():
+    with pytest.raises(NotImplementedError):
+        ConvexBody().extreme_points()
 
 
 @pytest.mark.parametrize("body", [

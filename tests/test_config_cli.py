@@ -153,11 +153,15 @@ def test_unknown_kind_values_fail_at_load(text, value):
     ("[budget]\npool_cap = 0\n", "pool size and cap must be >= 1"),
     ("[budget]\nprofile_pool = 0\n", "profile pool size must be >= 1"),
     ("[budget]\nprofile_centers = -3\n", "profile centers must be >= 0"),
+    ("[experiment]\nn_grid = 0 64\n", "n_grid needs at least one n, each >= 1"),
+    ("[experiment]\nn_grid = -8 64\n", "n_grid needs at least one n, each >= 1"),
+    ("[experiment]\nn_grid =\n", "n_grid needs at least one n, each >= 1"),
 ], ids=["max_stages", "pool_size", "pool_growth", "pool_cap", "profile_pool",
-        "profile_centers"])
+        "profile_centers", "n_grid_zero", "n_grid_negative", "n_grid_empty"])
 def test_settings_below_their_minimum_fail_at_load(text, message):
     # each used to load and then fail mid-sweep, end as all-NaN replicates,
-    # or (a negative center count) run as if it were 0
+    # run as if it were 0 (a negative center count), fail inside a class
+    # constructor or numpy (n <= 0), or write empty outputs (no n)
     with pytest.raises(ValueError, match=message):
         load_config_text(text)
 

@@ -11,13 +11,11 @@ from locent.bodies import LinearEllipsoid, LinearL1, MonotoneGrid, dist
 from locent.entropy import (
     EntropyBudget,
     EntropyProfile,
-    TabulatedEntropy,
     _global_centers,
-    entropy_sandwich_check,
     exact_local_entropy,
     local_entropy,
 )
-from locent.errors import GridMismatch, NonMonotoneProfile
+from locent.errors import NonMonotoneProfile
 from locent.packing import exhaustive_max_packing, greedy_max_packing
 from locent.seeds import derive_seed
 from locent.widths import sparse_cone_width_bound
@@ -141,57 +139,28 @@ def test_value_at_a_grid_point_is_its_log_count():
     assert [prof.value(e) for e in prof.eps] == list(prof.log_m)
 
 
-def test_sandwich_exact_interval():
-    cands = interval_candidates()
+@pytest.mark.parametrize("case", ["interval", "monotone_1x2"])
+def test_exact_local_entropy_sits_in_the_global_sandwich(case):
+    # log M(eps/c) >= log M_loc(eps, c) >= log M(eps/c) - log M(eps), every
+    # count exact on the candidate set: the local side by exact_local_entropy,
+    # the global side by exhaustive_max_packing over all candidates
+    if case == "interval":
+        body, cands, eps_grid = INTERVAL, interval_candidates(), [0.3, 0.5, 0.8, 1.2]
+    else:
+        body, vals = MonotoneGrid(1, 2), np.linspace(0, 1, 5)
+        cands = np.array([[a, b] for a in vals for b in vals if a <= b])
+        eps_grid = [0.6, 1.0, 1.5]
     c = 2.0
-    eps_grid = [0.3, 0.5, 0.8, 1.2]
-    needed = sorted({e for eps in eps_grid for e in (eps, eps / c)})
-    table = TabulatedEntropy(
-        eps=np.array(needed),
-        log_m=np.array([
-            np.log(len(exhaustive_max_packing(INTERVAL, cands, sep)))
-            for sep in needed
-        ]),
-    )
-    prof = exact_local_entropy(INTERVAL, cands, eps_grid, c=c)
-    report = entropy_sandwich_check(table, prof)
-    assert report.exact
-    assert report.all_ok
+    prof = exact_local_entropy(body, cands, eps_grid, c=c)
+    assert prof.exact and prof.log_m.max() > 0.0
 
+    def log_m(sep):
+        return np.log(len(exhaustive_max_packing(body, cands, sep)))
 
-def test_sandwich_singleton_trivial():
-    body = SingletonBody([0.0])
-    table = TabulatedEntropy(eps=np.array([0.25, 0.5]), log_m=np.zeros(2))
-    prof = EntropyProfile(c=2.0, kind="global", eps=np.array([0.5]),
-                          log_m=np.array([0.0]), exact=True)
-    report = entropy_sandwich_check(table, prof)
-    assert report.all_ok
-    assert report.rows[0].upper == 0.0 and report.rows[0].lower == 0.0
-
-
-def test_sandwich_monotone_grid_class():
-    body = MonotoneGrid(1, 2)
-    vals = np.linspace(0, 1, 5)
-    cands = np.array([[a, b] for a in vals for b in vals if a <= b])
-    c = 2.0
-    eps_grid = [0.6, 1.0, 1.5]
-    needed = sorted({e for eps in eps_grid for e in (eps, eps / c)})
-    table = TabulatedEntropy(
-        eps=np.array(needed),
-        log_m=np.array([
-            np.log(len(exhaustive_max_packing(body, cands, sep))) for sep in needed
-        ]),
-    )
-    report = entropy_sandwich_check(table, exact_local_entropy(body, cands, eps_grid, c=c))
-    assert report.all_ok
-
-
-def test_sandwich_grid_mismatch():
-    table = TabulatedEntropy(eps=np.array([0.1]), log_m=np.array([1.0]))
-    prof = EntropyProfile(c=2.0, kind="global", eps=np.array([0.5]),
-                          log_m=np.array([0.5]), exact=True)
-    with pytest.raises(GridMismatch):
-        entropy_sandwich_check(table, prof)
+    for eps, local in zip(prof.eps, prof.log_m):
+        upper = log_m(eps / c)
+        assert upper >= local - 1e-12
+        assert local >= upper - log_m(eps) - 1e-12
 
 
 def test_profile_csv_roundtrip():

@@ -285,6 +285,17 @@ def test_trimmed_schedule_profile_writes_the_same_bytes(monkeypatch, kw):
     assert 0 < trimmed_pools < full_pools
 
 
+def test_adaptive_condition_sets_its_own_j_star():
+    # small_config's walks are settled by the log-2 floor and the pool
+    # ceiling, so there the adaptive condition gives the regime's J*; at this
+    # scale the adaptive argument and constant 2c stop the walk elsewhere
+    stages = {kind: run_experiment(small_config(condition_kind=kind, practical_scale=2e6,
+                                                replicates=1)).stages
+              for kind in ("auto", "adaptive")}
+    assert stages["auto"] == {32: 5, 64: 6, 128: 6}
+    assert stages["adaptive"] == {32: 6, 64: 6, 128: 7}
+
+
 def test_condition_kind_must_name_the_class_regime():
     # the constants follow the class either way, so a contradicting kind used
     # to run with the other regime's constants under its own profile label
