@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bodies import ConvexBody, dist_rows, pull_into_ball
+from .bodies import ConvexBody, _norm_rows, dist_rows, pull_into_ball
 from .errors import CapExceeded, DimensionMismatch, NonmemberCenter
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
-# rows per screen block: one float32 matmul of 128 rows against a 1,800-row pool
-# writes 0.9 MB, which the comparison then reads from L2
+# rows per screen block: one float32 matmul of 128 rows against a window of at
+# most a 1,800-row pool writes 0.9 MB at most, which the comparison reads from L2
 SCREEN_BLOCK = 128
 U32 = 2.0 ** -24  # float32 unit roundoff
 
@@ -33,7 +33,7 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     unless it conflicts with a row already kept.  Returns the kept indices in
     ascending order; every candidate is within ``separation`` of one of them.
 
-    Each pair is screened once, in float32, on the rows centered on
+    Each pair is screened at most once, in float32, on the rows centered on
     ``points[start]`` in float64 and scaled, threshold too, by the power of
     two that brings the largest ``|x|^2`` into [0.25, 1).  The scaling is
     exact and keeps float32 from overflowing or underflowing at any radius
@@ -41,10 +41,31 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     above 3 is cut to 3 without changing a decision.  With the rows
     ``a = [-2x, 1, |x|^2 - threshold]`` and ``b = [y, |y|^2, 1]``, one
     ``K = dim + 2`` term product ``a.b`` is the squared distance less the
-    threshold ``(separation / metric_scale)^2``.  A block of
-    ``SCREEN_BLOCK`` rows costs one matmul against itself and every later
-    row and one comparison with the band below; its pairs ``i < j`` within
-    the band are the block's candidate edges.
+    threshold ``(separation / metric_scale)^2``.
+
+    The rows are screened in order of ``rad``, their ``dist_rows`` to the
+    start (ties by index).  Rows whose distances to the start differ by more
+    than ``separation`` do not conflict (triangle inequality), so a block of
+    ``SCREEN_BLOCK`` sorted rows is multiplied against its window alone:
+    itself and the later rows with ``rad <= rad[last row of the block] +
+    separation + margin``, every later row when all sit at one distance.
+
+    With ``v = 2^-53`` and ``R = max rad``, each float64 distance is within
+    ``(dim / 2 + 3) v`` of its exact value, relatively (``2 v`` from squaring
+    the rounded differences and ``dim v`` from their sum, halved by the root;
+    ``v`` from the root, ``v`` from ``metric_scale``).  A pair cut off has
+    ``rad_j > fl(fl(rad_i + separation) + margin)``, and its exact distance is
+    at least the difference of its exact distances to the start.  So it is a
+    conflict by ``dist_rows`` only if ``margin`` is at most ``2 v (R +
+    separation)`` from the two additions, plus ``(dim + 6) v R`` from
+    ``rad_i`` and ``rad_j``, plus ``(dim / 2 + 3) v separation`` from
+    ``dist_rows``: less than ``(dim + 8) v (R + separation)`` in all.
+    ``margin = (dim + 16) v (R + separation)`` leaves the other half to the
+    second-order terms.  Its ``2^-500`` covers squares that underflow, each
+    off by ``2^-1075`` absolutely, which moves a distance by at most
+    ``metric_scale sqrt(dim 2^-1074)`` (``metric_scale <= 1``, ``dim < 2^70``).
+    The pairs ``i < j`` of a window within the band below are the block's
+    candidate edges.
 
     With ``u = 2^-24``, ``S = |x|^2 + |y|^2`` and ``B = 2 max|x|^2 +
     threshold >= S + threshold``, the screened value differs from the exact
@@ -70,9 +91,9 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     not; the candidates in between are decided by ``dist_rows``.  So every
     decision agrees with ``dist_rows``, whatever the BLAS rounding.
 
-    Each block's conflicts are kept as an edge list.  Only rows with an
-    edge are walked, ordered by ``dist_rows`` to the start among themselves
-    (the same values and stable order as a sort of every row).  Their
+    Each block's conflicts are kept as an edge list of pool indices.  Only
+    rows with an edge are walked, ordered by ``rad`` among themselves (the
+    same values and stable order as a sort of every row).  Their
     conflicts are stored both ways round in a matrix over those rows alone,
     so the walk reads each kept row's conflicts as one row.  Memory is 16
     bytes per conflict and one byte per pair of walked rows, besides the
@@ -80,10 +101,16 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     """
     n, dim = points.shape
     x = points - points[start]
+    rad = _norm_rows(body, x)  # the bits of dist_rows(body, points, points[start])
+    perm = np.argsort(rad, kind="stable")
+    rs = rad[perm]
+    margin = (dim + 16) * 2.0 ** -53 * (rs[-1] + separation) + 2.0 ** -500
+    reach = np.searchsorted(rs, rs + separation + margin, side="right")
     top = np.einsum("ij,ij->i", x, x).max()
     scale = np.ldexp(1.0, -np.frexp(top)[1] // 2) if top > 0 else 1.0
     x *= scale
     x = x.astype(np.float32)
+    x = x[perm]  # after the float64 rows are freed: no more memory than the cast
     sq = np.einsum("ij,ij->i", x, x)
     thr = np.float32(min(separation / body.metric_scale * scale, 3.0) ** 2)
     # one band for all pairs: the largest |x|^2 bounds every |x|^2 + |y|^2
@@ -101,17 +128,19 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     walked = np.zeros(n, dtype=bool)
     edges = []
     for lo in range(0, n, SCREEN_BLOCK):
-        d2 = a[lo:lo + SCREEN_BLOCK] @ bt[:, lo:]  # squared distance - threshold
+        end = reach[min(lo + SCREEN_BLOCK, n) - 1]
+        d2 = a[lo:lo + SCREEN_BLOCK] @ bt[:, lo:end]  # squared distance - threshold
         near = d2 <= band
         near[:, :len(d2)] &= upper[:len(d2), :len(d2)]  # pairs i < j
         near = np.flatnonzero(near)
         hit = d2.ravel()[near] < -band  # sure conflicts
-        i, j = np.divmod(near, n - lo)
+        i, j = np.divmod(near, end - lo)
+        i, j = perm[lo + i], perm[lo + j]
         unsure = np.flatnonzero(~hit)
         for c in range(0, len(unsure), SCREEN_BLOCK):
             k = unsure[c:c + SCREEN_BLOCK]
-            hit[k] = dist_rows(body, points[lo + i[k]], points[lo + j[k]]) <= separation
-        i, j = lo + i[hit], lo + j[hit]
+            hit[k] = dist_rows(body, points[i[k]], points[j[k]]) <= separation
+        i, j = i[hit], j[hit]
         walked[i] = walked[j] = True
         edges.append((i, j))
     rows = np.flatnonzero(walked)
@@ -119,7 +148,7 @@ def greedy_select(body: ConvexBody, points: np.ndarray, separation: float, start
     conflict = np.zeros((len(rows), len(rows)), dtype=bool)
     for i, j in edges:
         conflict[at[i], at[j]] = conflict[at[j], at[i]] = True
-    order = np.argsort(-dist_rows(body, points[rows], points[start]), kind="stable")
+    order = np.argsort(-rad[rows], kind="stable")
     if walked[start]:
         order = np.concatenate(([at[start]], order[order != at[start]]))
     kept = np.ones(len(rows), dtype=bool)
@@ -207,14 +236,15 @@ def greedy_max_packing(
     kept = greedy_select(body, pool, separation, start=0)
     if validate:
         # one center at a time against the pool: its distances to the later
-        # centers check separation, and the running minimum maximality
+        # centers check separation, and the running minimum maximality; the
+        # selection's decisions are these dist_rows bits, so both are exact
         mind = np.full(len(pool), np.inf)
         for k, i in enumerate(kept):
             d = dist_rows(body, pool, pool[i])
             if not (d[kept[k + 1:]] > separation).all():
                 raise RuntimeError("greedy packing centers are not strictly separated")
             mind = np.minimum(mind, d)
-        if mind.max() > separation + 1e-12:
+        if mind.max() > separation:
             raise RuntimeError("greedy packing is not maximal in its pool")
     return pool[kept]
 

@@ -1,6 +1,15 @@
 import itertools
+import os
 
-import numpy as np
+# one BLAS thread per process, as the bench pins it: the sweeps run on
+# process pools that already fill the cores, and forked workers inherit
+# the parent's BLAS thread count (2 workers x 2 OpenBLAS threads on 2
+# cores ran acceptance 5-7 in 36-50 s against 15-17 s serial); set before
+# numpy loads, and an explicit setting is kept
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from locent.bodies import ConvexBody

@@ -190,7 +190,7 @@ def test_acceptance_05_monotone_rate():
         pool=PoolBudget(size=192, growth=1.3, cap=1024),
         master_seed=20_240_601, theory="monotone", theory_params={"p": 1},
     )
-    res = run_experiment(cfg)
+    res = run_experiment(cfg, threads=2)
     elapsed = time.time() - t0
     ok = res.slope is not None and -0.82 <= res.slope <= -0.52 and elapsed < 600.0
     report(5, ok, f"monotone 1-D slope {res.slope:.3f} in [-0.82, -0.52] ({elapsed:.0f}s)")
@@ -206,7 +206,7 @@ def test_acceptance_06_sparse_l1_rate():
         pool=PoolBudget(size=256, growth=1.3, cap=1024),
         master_seed=20_240_601, theory="sparse_l1", theory_params={"s": 4, "p": 64},
     )
-    res = run_experiment(cfg)
+    res = run_experiment(cfg, threads=2)
     elapsed = time.time() - t0
     c_at_500 = res.mean_risk[500] / res.theory_values[500]
     envelope = all(
@@ -240,7 +240,7 @@ def test_acceptance_07_ellipsoid_rate():
         pool=PoolBudget(size=256, growth=1.3, cap=1024),
         master_seed=20_240_601, theory="ellipsoid", theory_params={"a": a},
     )
-    res = run_experiment(cfg)
+    res = run_experiment(cfg, threads=2)
     ratios = [res.mean_risk[n] / res.theory_values[n] for n in cfg.n_grid]
     band = max(ratios) / min(ratios)
     elapsed = time.time() - t0

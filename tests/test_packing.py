@@ -10,7 +10,9 @@ import pytest
 
 import locent
 from locent import packing
-from locent.bodies import HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist, dist_rows
+from locent.bodies import (
+    HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist, dist_rows, pull_into_ball,
+)
 from locent.entropy import exact_local_entropy
 from locent.errors import CapExceeded, NonmemberCenter
 from locent.packing import (
@@ -116,6 +118,23 @@ def test_validate_raises_on_non_maximal_selection(monkeypatch):
     # without validation the broken selection goes through unchecked
     assert len(greedy_max_packing(INTERVAL, np.zeros(1), 1.0, 0.5, pool_seed=3,
                                   pool_size=128)) == 1
+
+
+def test_validate_raises_on_a_selection_maximal_only_up_to_a_slack(monkeypatch):
+    # a real selection, checked at 1e-4 below the distance that covers its
+    # pool: separated, but a row lies within 1e-12 above sep of every center,
+    # a slack of 0.12% of sep that an absolute tolerance let through
+    body, pool = _offset_l1_pool(1e-9)
+    pair = dist_rows(body, pool[:, None, :], pool)
+    first = float(np.quantile(pair[np.triu_indices(len(pool), 1)], 0.1, method="lower"))
+    kept = greedy_select(body, pool, first, start=0)
+    mind = pair[:, kept].min(axis=1)
+    sep = mind.max() * (1 - 1e-4)
+    assert ((mind > sep) & (mind <= sep + 1e-12)).any()
+    monkeypatch.setattr(packing, "greedy_select", lambda body, pts, sep, start: kept)
+    with pytest.raises(RuntimeError, match="not maximal"):
+        greedy_max_packing(body, np.full(8, 1e4 / np.sqrt(8)), 1e-9, sep, pool_seed=2,
+                           pool_size=255, validate=True)
 
 
 def test_validate_raises_on_a_nonmember_pool_row(monkeypatch):
@@ -446,6 +465,54 @@ def test_greedy_select_separation_far_above_the_pool_spread():
     # every pair still conflicts
     pts = 1e-25 * rng_for(0, "tiny-pool").standard_normal((50, 3))
     np.testing.assert_array_equal(greedy_select(LinearL1(3), pts, 1.0, start=7), [7])
+
+
+def _ray_pairs(body, rng, sep=0.37):
+    """Pairs on rays from the start, ``10-100 sep`` out, spaced at
+    ``sep * (1 + k 1e-15)`` for k = -4..4: each pair's distances to the
+    start differ by the separation up to their rounding, so the window edge
+    falls on them, and each decision moves the selection."""
+    steps = np.tile(np.arange(-4, 5), 24) * 1e-15
+    ray = rng.standard_normal((len(steps), body.dim))
+    ray /= body.metric_scale * np.linalg.norm(ray, axis=1)[:, None]
+    t = sep * (10 + 90 * rng.random(len(steps)))
+    start = np.full(body.dim, 0.3)
+    pts = np.vstack([start, start + t[:, None] * ray, start + (t + sep * (1 + steps))[:, None] * ray])
+    pair = dist_rows(body, pts[:, None, :], pts)
+    half = len(steps)
+    partner = np.arange(1, half + 1), np.arange(half + 1, 2 * half + 1)
+    assert 0 < (pair[partner] <= sep).sum() < half
+    others = pair.copy()
+    others[partner] = others[partner[::-1]] = np.inf
+    np.fill_diagonal(others, np.inf)
+    assert others.min() > sep
+    return pts, sep
+
+
+def _sphere_lump(body, rng):
+    """A lump of rows pulled onto one sphere about the start, as
+    ``pull_into_ball`` leaves them, so every window is the whole forward
+    range; the separation is one pair's distance, and a tenth of all pairs
+    conflict."""
+    start = np.full(body.dim, 0.3)
+    lump = start + (3 + rng.standard_normal((300, body.dim))) / body.metric_scale
+    pts = np.vstack([start, pull_into_ball(body, lump, start, 1.5)])
+    pair = dist_rows(body, pts[:, None, :], pts)
+    rad = pair[0, 1:]
+    assert rad.max() - rad.min() < 1e-12
+    return pts, float(np.quantile(pair[np.triu_indices(len(pts), 1)], 0.1, method="lower"))
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+@pytest.mark.parametrize("body", [LinearL1(8, 1e4), MonotoneGrid(1, 8)], ids=lambda b: b.kind)
+@pytest.mark.parametrize("rows", [_ray_pairs, _sphere_lump], ids=["rays", "sphere"])
+def test_greedy_select_window_edges_match_dist_rows_oracle(rows, body, block, monkeypatch):
+    # a pair cut off a block's window must be no conflict by dist_rows; a
+    # block of one row windows each row at its own edge
+    monkeypatch.setattr(packing, "SCREEN_BLOCK", block)
+    pts, sep = rows(body, np.random.default_rng(0))
+    np.testing.assert_array_equal(greedy_select(body, pts, sep, start=0),
+                                  _oracle_walk(dist_rows(body, pts[:, None, :], pts), sep, 0))
 
 
 def _openblas_dynamic_arch() -> bool:
