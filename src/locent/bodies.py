@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import projections as proj
-from .errors import DataDimensionMismatch, Degenerate, DimensionMismatch
 from .seeds import canonical_json
 
 MEMBERSHIP_TOL = 1e-8
@@ -83,11 +82,11 @@ class ConvexBody:
         return coords[x]
 
     def check_design(self, x: np.ndarray):
-        """DataDimensionMismatch unless ``x`` holds node indices in [0, dim)."""
+        """ValueError unless ``x`` holds node indices in [0, dim)."""
         if x.ndim != 1:
-            raise DataDimensionMismatch("design must be node indices")
+            raise ValueError("design must be node indices")
         if x.max(initial=-1) >= self.dim or x.min(initial=0) < 0:
-            raise DataDimensionMismatch("node index outside the grid")
+            raise ValueError("node index outside the grid")
 
     # -- wrappers ----------------------------------------------------------
 
@@ -99,7 +98,7 @@ class ConvexBody:
         """A member row: a read-only private float64 copy of ``coords``."""
         row = np.array(coords, dtype=np.float64)  # a private copy to freeze
         if row.shape != (self.dim,):
-            raise DimensionMismatch(f"expected dim {self.dim}, got {row.shape}")
+            raise ValueError(f"expected dim {self.dim}, got {row.shape}")
         if not np.all(np.isfinite(row)):
             raise ValueError("coords must be finite")
         row.flags.writeable = False
@@ -108,7 +107,7 @@ class ConvexBody:
     def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
-            raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape}")
+            raise ValueError(f"expected dim {self.dim}, got {x.shape}")
         return self.point(self.project_rows(x[None, :])[0])
 
     def sample_member(self, seed_or_rng) -> np.ndarray:
@@ -133,7 +132,7 @@ def dist(body: ConvexBody, f, g) -> float:
     """L2(P_X) distance between two members."""
     u, v = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
     if u.shape != (body.dim,) or v.shape != (body.dim,):
-        raise DimensionMismatch("point dimension does not match the class")
+        raise ValueError("point dimension does not match the class")
     return float(dist_rows(body, u, v))
 
 
@@ -184,7 +183,7 @@ class LinearBody(ConvexBody):
 
     def check_design(self, x):
         if x.ndim != 2 or x.shape[1] != self.p:
-            raise DataDimensionMismatch("design must be (n, p) rows")
+            raise ValueError("design must be (n, p) rows")
 
 
 class LinearL1(LinearBody):
@@ -502,7 +501,7 @@ class HolderGrid(ConvexBody):
 # Design distributions for linear classes
 # ---------------------------------------------------------------------------
 
-_DESIGN_TAUS = {"gaussian": 1.0, "rademacher": 1.0, "uniform_cube": np.sqrt(3.0)}
+_DESIGN_KINDS = ("gaussian", "rademacher", "uniform_cube")
 
 
 @dataclass(frozen=True)
@@ -512,13 +511,8 @@ class DesignDistribution:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind not in _DESIGN_TAUS:
+        if self.kind not in _DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}")
-
-    @property
-    def tau(self) -> float:
-        """Sub-Gaussian variance proxy of the design."""
-        return _DESIGN_TAUS[self.kind]
 
     def sample(self, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
@@ -568,7 +562,7 @@ def moment_ratio_check(
         delta = b1 - b2
         l2 = np.linalg.norm(delta)
         if l2 < 1e-12:
-            raise Degenerate("sampled pair coincides")
+            raise RuntimeError("sampled pair coincides")
         z = np.abs(body.evaluate(X, delta))
         used += 1
         for q in per_p:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bodies import ConvexBody, dist_rows
-from .errors import NonMonotoneProfile
 from .packing import exhaustive_max_packing, greedy_max_packing
 from .seeds import derive_seed
 
@@ -70,7 +69,7 @@ class EntropyProfile:
         if np.any(self.log_m < 0):
             raise ValueError("log packing counts are nonnegative")
         if self.exact and np.any(np.diff(self.log_m) > 1e-12):
-            raise NonMonotoneProfile("exact profile must be non-increasing in eps")
+            raise ValueError("exact profile must be non-increasing in eps")
 
     @property
     def saturated(self) -> np.ndarray:
@@ -115,7 +114,7 @@ class EntropyProfile:
         base = np.maximum(self.log_m, 1e-12)
         slack = float(np.max((fixed - self.log_m) / base))
         if slack > max_rel_slack:
-            raise NonMonotoneProfile(
+            raise ValueError(
                 f"monotonization changed the profile by {slack:.3f} > {max_rel_slack}"
             )
         return replace(self, log_m=fixed)

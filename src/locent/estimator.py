@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
-from .errors import DataDimensionMismatch, IdenticalHypotheses
 from .packing import greedy_max_packing
 from .seeds import canonical_json, derive_seed
 
@@ -61,11 +60,18 @@ class NoiseModel:
         return rng.uniform(-self.sigma, self.sigma, size=size)
 
 
-def exponent_constant_bounded(C: float, sigma: float, sup_bound: float) -> float:
-    """L(C, sigma, B_F): the triple minimum controlling the test error."""
+def _noise_term(C: float, sigma: float) -> float:
+    """(sqrt(C^2 - 1) - 2 sqrt 2)^2 / (8 sigma^2), +inf for noiseless data."""
     if C <= 3:
         raise ValueError("need C > 3")
-    first = (np.sqrt(C * C - 1.0) - 2.0 * np.sqrt(2.0)) ** 2 / (8.0 * sigma * sigma)
+    if sigma == 0:
+        return np.inf
+    return (np.sqrt(C * C - 1.0) - 2.0 * np.sqrt(2.0)) ** 2 / (8.0 * sigma * sigma)
+
+
+def exponent_constant_bounded(C: float, sigma: float, sup_bound: float) -> float:
+    """L(C, sigma, B_F): the triple minimum controlling the test error."""
+    first = _noise_term(C, sigma)
     second = 3.0 / (64.0 * sup_bound * sup_bound)
     third = 3.0 / (16.0 * sup_bound * sup_bound * (3.0 * C * C + 1.0))
     return float(min(first, second, third))
@@ -75,9 +81,7 @@ def exponent_constant_unbounded(
     C: float, sigma: float, diameter: float, alpha: float, b: float = 0.125
 ) -> float:
     """L~(C, sigma): the double minimum for sup-norm-unbounded classes."""
-    if C <= 3:
-        raise ValueError("need C > 3")
-    first = (np.sqrt(C * C - 1.0) - 2.0 * np.sqrt(2.0)) ** 2 / (8.0 * sigma * sigma)
+    first = _noise_term(C, sigma)
     second = b / (C * C * (2.0 * alpha * alpha + 1.0) ** 2 * diameter * diameter)
     return float(min(first, second))
 
@@ -142,17 +146,17 @@ class RegressionData:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.x = np.asarray(self.x)
         if self.x.ndim not in (1, 2):
-            raise DataDimensionMismatch("x must be design rows or node indices")
+            raise ValueError("x must be design rows or node indices")
         if self.x.ndim == 1:
             with np.errstate(invalid="ignore"):  # nan and inf fail the check below
                 idx = self.x.astype(np.int64, copy=False)
             if not np.array_equal(idx, self.x):
-                raise DataDimensionMismatch("node indices must be integers")
+                raise ValueError("node indices must be integers")
             self.x = idx
         else:
             self.x = self.x.astype(np.float64, copy=False)
         if self.x.shape[0] != len(self.y):
-            raise DataDimensionMismatch("design points != responses")
+            raise ValueError("design points != responses")
 
     @property
     def n(self) -> int:
@@ -453,7 +457,7 @@ def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
     body.check_design(data.x)
     fc, gc = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
     if dist(body, fc, gc) == 0.0:
-        raise IdenticalHypotheses("test needs two distinct hypotheses")
+        raise ValueError("test needs two distinct hypotheses")
     x = data.x
     # node indices are nonnegative, so |x| evaluates magnitudes on every kind
     u, s = body.evaluate(x, gc - fc), body.evaluate(x, fc + gc)

@@ -29,12 +29,6 @@ from .bodies import (
     make_body,
 )
 from .entropy import EntropyBudget, EntropyProfile, local_entropy, pool_ceiling
-from .errors import (
-    DegenerateFit,
-    InsufficientData,
-    PreconditionViolated,
-    UnboundedClassWithoutMomentConstant,
-)
 from .estimator import (
     EstimatorTrace,
     NoiseModel,
@@ -126,7 +120,7 @@ def fit_rate_slope(points) -> dict:
     ns = np.array([p[0] for p in pts])
     rs = np.array([p[1] for p in pts])
     if np.all(ns == ns[0]):
-        raise DegenerateFit("all sample sizes equal")
+        raise ValueError("all sample sizes equal")
     if np.any(rs <= 0):
         raise ValueError("risks must be positive for a log fit")
     x = np.log(ns)
@@ -404,8 +398,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     for n, out in risks.items():
         if not np.any(np.isfinite(out)):
             why = Counter(e or "non-finite risk" for e in errors[n])
-            raise InsufficientData(f"all replicates failed at n={n}: "
-                                   + ", ".join(f"{e} x{k}" for e, k in why.items()))
+            raise RuntimeError(f"all replicates failed at n={n}: "
+                               + ", ".join(f"{e} x{k}" for e, k in why.items()))
 
     mean_risk = {n: float(np.nanmean(risks[n])) for n in cfg.n_grid}
     finite = {n: int(np.sum(np.isfinite(risks[n]))) for n in cfg.n_grid}
@@ -508,15 +502,15 @@ def check_norm_concentration(
     """
     fc, gc, bc = (np.asarray(v, dtype=np.float64) for v in (f, g, f_bar))
     if n * dist(body, fc, gc) ** 2 < C * C * delta * delta:
-        raise PreconditionViolated("need n ||f-g||^2 >= C^2 delta^2")
+        raise ValueError("need n ||f-g||^2 >= C^2 delta^2")
     if n * dist(body, fc, bc) ** 2 >= delta * delta:
-        raise PreconditionViolated("need n ||f-fbar||^2 < delta^2")
+        raise ValueError("need n ||f-fbar||^2 < delta^2")
     if body.sup_bound is not None:
         bound = concentration_bound_bounded(delta, C, body.sup_bound)
         case = "bounded"
     else:
         if alpha is None:
-            raise UnboundedClassWithoutMomentConstant(
+            raise ValueError(
                 "unbounded class needs the moment constant alpha"
             )
         bound = concentration_bound_unbounded(delta, C, body.diameter(), alpha, b)
@@ -589,10 +583,10 @@ def check_test_error(
     sep2 = n * dist(body, fc, gc) ** 2
     delta2 = sep2 / (C * C)
     if n * dist(body, fc, bc) ** 2 >= delta2:
-        raise PreconditionViolated("need n ||f-fbar||^2 < delta^2 = n||f-g||^2/C^2")
+        raise ValueError("need n ||f-fbar||^2 < delta^2 = n||f-g||^2/C^2")
     h1_bar = body.project_rows((gc + (bc - fc))[None, :])[0]
     if n * dist(body, gc, h1_bar) ** 2 >= delta2:
-        raise PreconditionViolated("mirrored H1 truth violates the proximity condition")
+        raise ValueError("mirrored H1 truth violates the proximity condition")
     bound = 3.0 * np.exp(-constants.L_paper * delta2)
     u, s = gc - fc, fc + gc
     mag_u = np.abs(fc) + np.abs(gc)

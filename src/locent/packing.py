@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import ConvexBody, _norm_rows, dist_rows, pull_into_ball
-from .errors import CapExceeded, DimensionMismatch, NonmemberCenter
 from .seeds import rng_for
 
 EXHAUSTIVE_CAP = 24
@@ -214,7 +213,7 @@ def greedy_max_packing(
     """
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (body.dim,):
-        raise DimensionMismatch(f"expected dim {body.dim}, got {center.shape}")
+        raise ValueError(f"expected dim {body.dim}, got {center.shape}")
     if not np.isfinite(center).all():
         raise ValueError("ball center must be finite")
     if not 0 <= radius < np.inf:
@@ -224,7 +223,7 @@ def greedy_max_packing(
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
     if not body.contains_coords(center):
-        raise NonmemberCenter("ball center fails class membership")
+        raise ValueError("ball center fails class membership")
     pool = build_pool(body, center, radius, pool_seed, pool_size, extra_candidates)
     # contraction of members toward a member stays in the convex body, so
     # this only guards against numerical surprises
@@ -267,7 +266,7 @@ def exhaustive_max_packing(
     pts = np.asarray(candidates, dtype=np.float64)
     n = len(pts)
     if n > cap:
-        raise CapExceeded(f"{n} candidates exceed cap {cap}")
+        raise ValueError(f"{n} candidates exceed cap {cap}")
     order = sorted(range(n), key=lambda i: tuple(pts[i]))
     pts = pts[order]
     compat = dist_rows(body, pts[:, None, :], pts) > separation  # strict

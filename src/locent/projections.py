@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence
 
 ABS_TOL = 1e-10  # Dykstra's cycle-to-cycle residual bound
-MAX_ITER = 10_000  # Dykstra cycles before NoConvergence
+MAX_ITER = 10_000  # Dykstra cycles before RuntimeError
 _NEWTON_MAX_ITER = 100
 
 
@@ -65,7 +64,7 @@ def _secular_root(Z: np.ndarray, d: np.ndarray, b: float) -> np.ndarray:
         active = active[moved]
         if not len(active):
             return lam
-    raise NoConvergence(f"secular Newton still moving after {_NEWTON_MAX_ITER} steps")
+    raise RuntimeError(f"secular Newton still moving after {_NEWTON_MAX_ITER} steps")
 
 
 def project_ellipsoid_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -150,7 +149,7 @@ def dykstra(x: np.ndarray, projectors) -> np.ndarray:
     """Dykstra's alternating projection onto an intersection of convex sets.
 
     ``x`` is a (k, dim) batch of rows and ``projectors`` is a sequence of
-    callables mapping (k, dim) -> (k, dim).  Raises NoConvergence when the
+    callables mapping (k, dim) -> (k, dim).  Raises RuntimeError when the
     cycle-to-cycle residual stays above ABS_TOL after MAX_ITER cycles.
     """
     y = np.asarray(x, dtype=np.float64)
@@ -163,4 +162,4 @@ def dykstra(x: np.ndarray, projectors) -> np.ndarray:
             increments[j] = z - y
         if np.max(np.abs(y - prev)) < ABS_TOL:
             return y
-    raise NoConvergence(f"Dykstra residual above {ABS_TOL} after {MAX_ITER} cycles")
+    raise RuntimeError(f"Dykstra residual above {ABS_TOL} after {MAX_ITER} cycles")

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .entropy import EntropyProfile
-from .errors import BadParams
 from .seeds import canonical_json
 
 LOG2 = float(np.log(2.0))
@@ -122,6 +121,8 @@ def _lemma_lower_eps(prof: EntropyProfile, n: int, sigma: float) -> float | None
     """Largest eps with log M(eps) > 4 (n eps^2 / (2 sigma^2) or log 2)."""
     if prof.log_m[0] <= 4.0 * LOG2:
         return None  # even tiny eps fails the log-2 floor
+    if sigma == 0:
+        return None  # noiseless data: the n eps^2 / (2 sigma^2) term is +inf
 
     def psi(t: float) -> float:
         eps = np.exp(t)
@@ -176,7 +177,7 @@ def kolmogorov_index(a, n: int) -> KolmogorovIndex:
     a = np.asarray(a, dtype=np.float64)
     p = len(a)
     if p < 1 or np.any(a <= 0) or np.any(np.diff(a) < 0):
-        raise BadParams("a must be positive and sorted ascending")
+        raise ValueError("a must be positive and sorted ascending")
     a_p = float(a[-1])
     if a_p <= 1.0 / n:
         return KolmogorovIndex(k=None, d_k=None, small_ellipsoid=True, rate=a_p)
@@ -236,7 +237,7 @@ class RateFormula:
                 return (min(n ** -0.5, 1.0), min(n ** -0.5 * np.log(n), 1.0))
             v = min(n ** (-1.0 / dim), 1.0)
             return (v, v)
-        raise BadParams(f"unknown rate kind {k!r}")
+        raise ValueError(f"unknown rate kind {k!r}")
 
 
 def theoretical_rate(kind: str, **params) -> RateFormula:
@@ -247,21 +248,21 @@ def theoretical_rate(kind: str, **params) -> RateFormula:
     if kind == "sparse_l1":
         s, p = int(params["s"]), int(params["p"])
         if not (1 <= s <= p):
-            raise BadParams("need 1 <= s <= p")
+            raise ValueError("need 1 <= s <= p")
         return RateFormula(kind, {"s": s, "p": p}, degenerate_log=(s == p))
     if kind == "ellipsoid":
         a = np.asarray(params["a"], dtype=np.float64)
         if np.any(a <= 0) or np.any(np.diff(a) < 0):
-            raise BadParams("a must be positive ascending")
+            raise ValueError("a must be positive ascending")
         return RateFormula(kind, {"a": a})
     if kind == "holder":
         alpha, gamma = float(params["alpha"]), float(params.get("gamma", 1.0))
         if not (0 < alpha <= 1) or gamma <= 0:
-            raise BadParams("need alpha in (0,1] and gamma > 0")
+            raise ValueError("need alpha in (0,1] and gamma > 0")
         return RateFormula(kind, {"alpha": alpha, "gamma": gamma})
     if kind == "monotone":
         p = int(params["p"])
         if p < 1:
-            raise BadParams("need p >= 1")
+            raise ValueError("need p >= 1")
         return RateFormula(kind, {"p": p})
-    raise BadParams(f"unknown rate kind {kind!r}")
+    raise ValueError(f"unknown rate kind {kind!r}")

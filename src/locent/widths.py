@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InnerOptFailure
 
 
 @dataclass
@@ -156,7 +155,7 @@ class SparseTangentConeBall(WidthSet):
         else:
             lam = np.maximum(dot / s, 0.0)
         if not np.all(np.isfinite(lam)):
-            raise InnerOptFailure("non-finite multiplier in cone support solve")
+            raise RuntimeError("non-finite multiplier in cone support solve")
         v2 = ((gs - lam[:, None] * self.signs[None, :]) ** 2).sum(axis=1)
         if K:
             v2 = v2 + (np.maximum(goff - lam[:, None], 0.0) ** 2).sum(axis=1)

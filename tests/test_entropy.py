@@ -15,7 +15,6 @@ from locent.entropy import (
     exact_local_entropy,
     local_entropy,
 )
-from locent.errors import NonMonotoneProfile
 from locent.packing import exhaustive_max_packing, greedy_max_packing
 from locent.seeds import derive_seed
 from locent.widths import sparse_cone_width_bound
@@ -111,7 +110,7 @@ def test_sparse_center_adaptive_entropy_bounded_by_cone_width():
 def test_monotonization_running_max_and_slack():
     prof = EntropyProfile(c=2.0, kind="global", eps=np.array([0.1, 0.2, 0.4]),
                           log_m=np.array([3.0, 2.9, 3.1]), exact=False)
-    with pytest.raises(NonMonotoneProfile):
+    with pytest.raises(ValueError, match=r"monotonization changed the profile by 0\.069 > 0\.01"):
         prof.monotonized(max_rel_slack=0.01)
     fixed = prof.monotonized(max_rel_slack=0.15)
     assert np.all(np.diff(fixed.log_m) <= 0)
@@ -119,7 +118,7 @@ def test_monotonization_running_max_and_slack():
 
 
 def test_exact_profile_rejects_increase():
-    with pytest.raises(NonMonotoneProfile):
+    with pytest.raises(ValueError, match="exact profile must be non-increasing in eps"):
         EntropyProfile(c=2.0, kind="global", eps=np.array([0.1, 0.2]),
                        log_m=np.array([1.0, 2.0]), exact=True)
 

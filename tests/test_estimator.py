@@ -10,7 +10,6 @@ from locent.bodies import (
     dist,
 )
 from locent.entropy import EntropyProfile
-from locent.errors import DataDimensionMismatch, IdenticalHypotheses
 from locent.estimator import (
     STAGE_DTYPE,
     EstimatorTrace,
@@ -50,6 +49,13 @@ def test_exponent_constant_unbounded_formula():
     first = (np.sqrt(15.0) - 2.0 * np.sqrt(2.0)) ** 2 / 8.0
     second = b / (16.0 * 9.0 * 4.0)
     assert np.isclose(exponent_constant_unbounded(C, sigma, d, alpha, b), min(first, second))
+
+
+def test_exponent_constants_without_noise():
+    # sigma = 0 makes the noise term +inf: L is the minimum of the others,
+    # reached without a division by zero
+    assert exponent_constant_bounded(4.0, 0.0, 1.0) == 3.0 / (16.0 * 49.0)
+    assert exponent_constant_unbounded(4.0, 0.0, 2.0, 1.0, 0.125) == 0.125 / (16.0 * 9.0 * 4.0)
 
 
 def test_constants_require_C_above_3():
@@ -202,25 +208,25 @@ def test_data_dimension_mismatch():
     body = MonotoneGrid(1, 4)
     data = RegressionData(y=np.zeros(3), x=np.array([0, 1, 9]))
     consts = RateConstants.bounded(4.0, 1.0, 1.0)
-    with pytest.raises(DataDimensionMismatch):
+    with pytest.raises(ValueError, match="node index outside the grid"):
         run_algorithm1(body, data, consts, stages=2, seed=0)
 
 
-@pytest.mark.parametrize("y, x", [
-    (np.zeros(3), np.array([0, 1])),
-    (np.zeros(3), np.zeros((4, 2))),
-    (np.zeros(2), np.zeros((2, 2, 2))),
+@pytest.mark.parametrize("y, x, msg", [
+    (np.zeros(3), np.array([0, 1]), "design points != responses"),
+    (np.zeros(3), np.zeros((4, 2)), "design points != responses"),
+    (np.zeros(2), np.zeros((2, 2, 2)), "x must be design rows or node indices"),
 ], ids=["indices", "rows", "ndim3"])
-def test_regression_data_rejects_x_of_the_wrong_shape(y, x):
-    with pytest.raises(DataDimensionMismatch):
+def test_regression_data_rejects_x_of_the_wrong_shape(y, x, msg):
+    with pytest.raises(ValueError, match=msg):
         RegressionData(y=y, x=x)
 
 
 def test_fractional_node_indices_are_rejected():
     # a cast to int64 would truncate them to [0 1 2 0] without a word
-    with pytest.raises(DataDimensionMismatch):
+    with pytest.raises(ValueError, match="node indices must be integers"):
         RegressionData(y=np.ones(4), x=[0.7, 1.2, 2.9, 0.1])
-    with pytest.raises(DataDimensionMismatch):
+    with pytest.raises(ValueError, match="node indices must be integers"):
         RegressionData(y=np.ones(2), x=[np.nan, 1.0])
     # integer-valued indices of any dtype still load
     for x in ([0.0, 1.0, 2.0, 0.0], np.array([0, 1, 2, 0], dtype=np.uint8)):
@@ -228,15 +234,15 @@ def test_fractional_node_indices_are_rejected():
         assert data.x.dtype == np.int64 and data.x.tolist() == [0, 1, 2, 0]
 
 
-@pytest.mark.parametrize("body, x", [
-    (LinearL1(4), [0, 1, 2, 3, 1, 2]),
-    (MonotoneGrid(1, 3), np.full((6, 3), 0.5)),
+@pytest.mark.parametrize("body, x, msg", [
+    (LinearL1(4), [0, 1, 2, 3, 1, 2], r"design must be \(n, p\) rows"),
+    (MonotoneGrid(1, 3), np.full((6, 3), 0.5), "design must be node indices"),
 ], ids=["indices-for-linear", "rows-for-grid"])
-def test_design_of_the_wrong_kind_is_rejected(body, x):
+def test_design_of_the_wrong_kind_is_rejected(body, x, msg):
     # the shapes alone fit (indices below p, rows of width dim); the body
     # knows which kind of design it takes
     data = RegressionData(y=np.ones(6), x=x)
-    with pytest.raises(DataDimensionMismatch):
+    with pytest.raises(ValueError, match=msg):
         run_algorithm1(body, data, RateConstants(4.0, 0.01), 3)
 
 
@@ -311,7 +317,7 @@ def test_psi_exact_ties_give_one():
 def test_psi_rejects_a_design_of_the_wrong_kind():
     body = LinearL1(3, 1.0)
     f, g = body.point([0.5, 0.0, 0.0]), body.point([-0.5, 0.0, 0.0])
-    with pytest.raises(DataDimensionMismatch):
+    with pytest.raises(ValueError, match=r"design must be \(n, p\) rows"):
         pairwise_test_psi(body, f, g, RegressionData(y=np.ones(3), x=[0, 1, 2]))
 
 
@@ -319,7 +325,7 @@ def test_psi_identical_hypotheses():
     body = LinearL1(3, 1.0)
     f = body.point([0.5, 0.0, 0.0])
     data = RegressionData(y=np.zeros(4), x=np.zeros((4, 3)))
-    with pytest.raises(IdenticalHypotheses):
+    with pytest.raises(ValueError, match="test needs two distinct hypotheses"):
         pairwise_test_psi(body, f, f, data)
 
 

@@ -14,7 +14,6 @@ from locent.bodies import (
     HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist, dist_rows, pull_into_ball,
 )
 from locent.entropy import exact_local_entropy
-from locent.errors import CapExceeded, NonmemberCenter
 from locent.packing import (
     exhaustive_max_packing,
     greedy_max_packing,
@@ -64,8 +63,13 @@ def test_greedy_unit_square_from_corner():
 
 
 def test_greedy_rejects_nonmember_center():
-    with pytest.raises(NonmemberCenter):
+    with pytest.raises(ValueError, match="ball center fails class membership"):
         greedy_max_packing(INTERVAL, np.array([2.0]), 1.0, 0.5, 0, 8)
+
+
+def test_greedy_rejects_center_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"expected dim 1, got \(2,\)"):
+        greedy_max_packing(INTERVAL, np.array([0.5, 0.5]), 1.0, 0.5, 0, 8)
 
 
 @pytest.mark.parametrize("center, radius, separation, extra", [
@@ -180,7 +184,7 @@ def test_validate_holds_one_row_of_distances_at_a_time():
 def test_exhaustive_cap():
     seg = LinearL1(1, 2.0)
     pts = [seg.point([x]) for x in np.linspace(-1, 1, 25)]
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ValueError, match="25 candidates exceed cap"):
         exhaustive_max_packing(seg, pts, 0.1)
 
 

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from locent.entropy import EntropyProfile
-from locent.errors import BadParams, NonMonotoneProfile
 from locent.harness import fit_rate_slope
 from locent.rates import (
+    RateFormula,
     certify_lower_bound,
     kolmogorov_index,
     solve_eps_star,
@@ -94,6 +96,13 @@ def test_certify_lower_bound_report():
     assert np.isclose(rep["lower_bound_risk"], rep["lower_eps"] ** 2 / 800.0)
 
 
+def test_lower_bound_without_noise_is_none():
+    # sigma = 0 makes n eps^2 / (2 sigma^2) +inf, so no eps meets the condition
+    assert solve_eps_star(constant_profile(40.0), 1000, sigma=0.0).lower_eps is None
+    rep = certify_lower_bound(constant_profile(40.0), 1000, sigma=0.0)
+    assert rep["lower_eps"] is None and rep["lower_bound_risk"] is None
+
+
 def test_eps_star_upper_rate_capped_by_diameter():
     cert = solve_eps_star(constant_profile(1e9), 10, diameter=0.5)
     assert cert.upper_rate == 0.25
@@ -102,7 +111,7 @@ def test_eps_star_upper_rate_capped_by_diameter():
 def test_monotonization_slack_guard():
     prof = EntropyProfile(c=4.0, kind="global", eps=np.array([0.1, 0.2, 0.4]),
                           log_m=np.array([1.0, 0.5, 1.0]), exact=False)
-    with pytest.raises(NonMonotoneProfile):
+    with pytest.raises(ValueError, match="monotonization changed the profile by"):
         solve_eps_star(prof, 100)
 
 
@@ -166,7 +175,7 @@ def test_kolmogorov_matches_oracle_on_random_inputs():
 
 
 def test_kolmogorov_bad_params():
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="a must be positive and sorted ascending"):
         kolmogorov_index([1.0, 0.5], 10)
 
 
@@ -206,9 +215,17 @@ def test_theoretical_rate_ellipsoid_uses_index():
 
 
 def test_theoretical_rate_bad_params():
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="need 1 <= s <= p"):
         theoretical_rate("sparse_l1", s=10, p=4)
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match=re.escape("need alpha in (0,1] and gamma > 0")):
         theoretical_rate("holder", alpha=1.5)
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="unknown rate kind 'nope'"):
         theoretical_rate("nope")
+    with pytest.raises(ValueError, match="a must be positive ascending"):
+        theoretical_rate("ellipsoid", a=[1.0, 0.5])
+    with pytest.raises(ValueError, match="a must be positive ascending"):
+        theoretical_rate("ellipsoid", a=[0.0, 1.0])
+    with pytest.raises(ValueError, match="need p >= 1"):
+        theoretical_rate("monotone", p=0)
+    with pytest.raises(ValueError, match="unknown rate kind 'nope'"):
+        RateFormula("nope", {}).bracket(10)

@@ -4,7 +4,6 @@ from scipy.optimize import minimize
 
 from locent.bodies import LinearL1, MonotoneGrid
 from locent.entropy import exact_local_entropy
-from locent.errors import InnerOptFailure
 from locent.packing import exhaustive_max_packing
 from locent.widths import (
     Box,
@@ -118,7 +117,7 @@ def test_sparse_cone_support_rejects_a_non_finite_draw(p):
     beta[0], beta[1] = 0.6, -0.4
     G = np.ones((2, p))
     G[1, 0] = np.nan
-    with pytest.raises(InnerOptFailure):
+    with pytest.raises(RuntimeError, match="non-finite multiplier in cone support solve"):
         SparseTangentConeBall(beta).support_rows(G)
 
 @pytest.mark.parametrize("p,s", [(64, 4), (128, 8)])
