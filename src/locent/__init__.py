@@ -12,7 +12,6 @@ from .bodies import (
     MonotoneGrid,
     dist,
     make_body,
-    moment_ratio_check,
 )
 from .entropy import (
     EntropyBudget,
@@ -37,6 +36,7 @@ from .harness import (
     check_norm_concentration,
     check_test_error,
     fit_rate_slope,
+    moment_ratio_check,
     run_experiment,
 )
 from .packing import exhaustive_max_packing, greedy_max_packing

@@ -1,4 +1,6 @@
-"""Concrete convex class bodies with samplers, projections, and distances.
+"""Concrete convex class bodies with samplers, projections, and distances,
+and the isotropic design distributions of the linear kinds.  The Monte Carlo
+checks on them live in :mod:`locent.harness`.
 
 Four kinds are provided:
 
@@ -19,12 +21,11 @@ for the linear kinds, node indices for the grid kinds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import projections as proj
-from .seeds import canonical_json
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -521,56 +522,6 @@ class DesignDistribution:
             return rng.integers(0, 2, size=(n, p)).astype(np.float64) * 2.0 - 1.0
         root3 = np.sqrt(3.0)
         return rng.uniform(-root3, root3, size=(n, p))
-
-
-# ---------------------------------------------------------------------------
-# Sub-Gaussian moment-ratio check (Eq.-style L_p vs sqrt(p) L_2 comparison)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MomentReport:
-    alpha_hat: float
-    per_p: dict
-    pairs: int
-    trials: int
-
-    def to_json(self) -> str:
-        return canonical_json(asdict(self))
-
-
-def moment_ratio_check(
-    body: ConvexBody,
-    design: DesignDistribution,
-    p_values=(2, 4, 6),
-    trials: int = 100_000,
-    seed: int = 0,
-    pairs: int = 8,
-) -> MomentReport:
-    """Monte Carlo worst ratio ||f-g||_{Lp} / (sqrt(p) ||f-g||_{L2}) over
-    sampled member pairs of a sup-norm-unbounded (linear) class."""
-    if body.sup_bound is not None:
-        raise ValueError("moment check targets the sup-norm-unbounded (linear) kinds")
-    rng = np.random.default_rng(seed)
-    X = body.sample_design(trials, design, rng)
-    per_p = {int(q): 0.0 for q in p_values}
-    used = 0
-    worst = 0.0
-    for _ in range(pairs):
-        b1 = body.sample_rows(1, rng)[0]
-        b2 = body.sample_rows(1, rng)[0]
-        delta = b1 - b2
-        l2 = np.linalg.norm(delta)
-        if l2 < 1e-12:
-            raise RuntimeError("sampled pair coincides")
-        z = np.abs(body.evaluate(X, delta))
-        used += 1
-        for q in per_p:
-            lp = float(np.mean(z ** q) ** (1.0 / q))
-            ratio = lp / (np.sqrt(q) * l2)
-            per_p[q] = max(per_p[q], ratio)
-            worst = max(worst, ratio)
-    return MomentReport(alpha_hat=worst, per_p=per_p, pairs=used, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ check-concentration, check-test, moment-check.  Global flags: --config,
 --seed (overrides the config master seed), --out, --threads.  Each command
 returns its files as {name: text}; they are written under --out, with
 deterministic content for fixed config and seed, and their paths printed.
+Each JSON report is canonical_json of its dataclass's fields.
 Counts (--n, --trials, --draws, --threads) must be at least 1.
 estimate --n N runs replicate 0 of the sweep cell at N: its stage count J*
 comes from the sweep's schedule walk, which builds the profile points it
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .bodies import dist, moment_ratio_check
+from .bodies import dist
 from .harness import (
     ExperimentConfig,
     body_for_n,
@@ -32,6 +33,7 @@ from .harness import (
     check_test_error,
     constants_for,
     make_truth,
+    moment_ratio_check,
     resolve_condition_kind,
     run_experiment,
     run_replicate,
@@ -64,10 +66,6 @@ def _pair(cfg: ExperimentConfig, body):
     return make_truth(body, cfg.truth), body.point(body.extreme_points()[0])
 
 
-def _check_json(report) -> str:
-    return canonical_json(dataclasses.asdict(report) | {"passed": report.passed})
-
-
 def cmd_entropy(args):
     cfg, n, body, constants, kind = _setup(args)
     prof = schedule_profile(cfg, body, constants, kind)
@@ -79,7 +77,7 @@ def cmd_eps_star(args):
     cfg, n, body, constants, kind = _setup(args)
     prof = schedule_profile(cfg, body, constants, kind)
     cert = solve_eps_star(prof, n, sigma=cfg.noise.sigma, diameter=body.diameter())
-    return {"eps_star.json": cert.to_json()}
+    return {"eps_star.json": canonical_json(dataclasses.asdict(cert))}
 
 
 def cmd_certify_lower(args):
@@ -118,7 +116,7 @@ def cmd_check_concentration(args):
         seed=derive_seed(cfg.master_seed, "cli-conc"),
         design=cfg.design, b=cfg.b, alpha=cfg.alpha_moment,
     )
-    return {"concentration.json": _check_json(rep)}
+    return {"concentration.json": canonical_json(dataclasses.asdict(rep))}
 
 
 def cmd_check_test(args):
@@ -126,14 +124,14 @@ def cmd_check_test(args):
     f, g = _pair(cfg, body)
     rep = check_test_error(body, f, g, f, cfg.noise, n, constants, trials=args.trials,
                            seed=derive_seed(cfg.master_seed, "cli-test"), design=cfg.design)
-    return {"test_error.json": _check_json(rep)}
+    return {"test_error.json": canonical_json(dataclasses.asdict(rep))}
 
 
 def cmd_moment_check(args):
     cfg, _, body, _, _ = _setup(args)
     rep = moment_ratio_check(body, cfg.design, trials=args.trials,
                              seed=derive_seed(cfg.master_seed, "cli-moment"))
-    return {"moment.json": rep.to_json()}
+    return {"moment.json": canonical_json(dataclasses.asdict(rep))}
 
 
 # name -> (command, help, {count flag: default})

@@ -1,10 +1,17 @@
-"""Monte Carlo experiment runner and empirical concentration checks.
+"""Monte Carlo experiment runner and the three Monte Carlo checks.
 
 Experiments sweep a sample-size grid, run the multiscale estimator per
 replicate with schedule-driven stage counts, and fit a log-log slope of mean
 squared risk against n.  Seeds derive from the master seed by a splittable
 counter scheme (sha256 over labels), so replicates are independent streams
 and a failed replicate never perturbs the others.
+
+The checks test the facts the paper's guarantees rest on: the joint
+empirical-norm event (:func:`check_norm_concentration`), the 3 exp(-L delta^2)
+bound on the pairwise test's error (:func:`check_test_error`) and the
+sub-Gaussian moment condition of the linear kinds
+(:func:`moment_ratio_check`).  Each returns a frozen dataclass whose fields,
+its verdict included, are the whole report.
 """
 
 from __future__ import annotations
@@ -439,11 +446,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Empirical concentration checks
+# Monte Carlo checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcentrationReport:
     frequency: float
     bound: float
@@ -452,10 +459,7 @@ class ConcentrationReport:
     C: float
     trials: int
     case: str  # bounded | unbounded
-
-    @property
-    def passed(self) -> bool:
-        return self.frequency >= self.bound
+    passed: bool  # frequency >= bound
 
 
 def concentration_bound_bounded(delta: float, C: float, sup_bound: float) -> float:
@@ -500,6 +504,8 @@ def check_norm_concentration(
     draws jointly through :func:`_pair_draws`, from their exact law where
     one is known.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     fc, gc, bc = (np.asarray(v, dtype=np.float64) for v in (f, g, f_bar))
     if n * dist(body, fc, gc) ** 2 < C * C * delta * delta:
         raise ValueError("need n ||f-g||^2 >= C^2 delta^2")
@@ -521,18 +527,20 @@ def check_norm_concentration(
         for c, A, B, *_ in _pair_draws(body, design, None, n, trials, rng, fc - bc, fc - gc)
     )
     event = (close <= 2.0 * delta * delta) & (far >= (C * C - 1.0) * delta * delta)
+    frequency, bound = float(event.mean()), float(bound)
     return ConcentrationReport(
-        frequency=float(event.mean()),
-        bound=float(bound),
+        frequency=frequency,
+        bound=bound,
         delta=delta,
         n=n,
         C=C,
         trials=trials,
         case=case,
+        passed=frequency >= bound,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestErrorReport:
     freq_h0: float  # P(psi = 1) under the H0-side truth
     freq_h1: float  # P(psi = 0) under the H1-side truth
@@ -540,14 +548,11 @@ class TestErrorReport:
     delta: float
     trials: int
     noise_kind: str
+    passed: bool  # worst <= bound
 
     @property
     def worst(self) -> float:
         return max(self.freq_h0, self.freq_h1)
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.bound
 
 
 def check_test_error(
@@ -578,6 +583,8 @@ def check_test_error(
     swapping f and g negates it bit for bit, and with the stream keyed by
     the truth the two reports mirror exactly whenever no trial ties.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     fc, gc, bc = (np.asarray(v, dtype=np.float64) for v in (f, g, f_bar))
     C = constants.C
     sep2 = n * dist(body, fc, gc) ** 2
@@ -587,7 +594,7 @@ def check_test_error(
     h1_bar = body.project_rows((gc + (bc - fc))[None, :])[0]
     if n * dist(body, gc, h1_bar) ** 2 >= delta2:
         raise ValueError("mirrored H1 truth violates the proximity condition")
-    bound = 3.0 * np.exp(-constants.L_paper * delta2)
+    bound = float(3.0 * np.exp(-constants.L_paper * delta2))
     u, s = gc - fc, fc + gc
     mag_u = np.abs(fc) + np.abs(gc)
 
@@ -602,14 +609,58 @@ def check_test_error(
         )
         return int(np.count_nonzero(_psi_from_gap(gap, mag, n, body.dim)))
 
+    freq_h0 = psi_one_count(bc) / trials
+    freq_h1 = (trials - psi_one_count(h1_bar)) / trials
     return TestErrorReport(
-        freq_h0=psi_one_count(bc) / trials,
-        freq_h1=(trials - psi_one_count(h1_bar)) / trials,
-        bound=float(bound),
+        freq_h0=freq_h0,
+        freq_h1=freq_h1,
+        bound=bound,
         delta=float(np.sqrt(delta2)),
         trials=trials,
         noise_kind=noise.kind,
+        passed=max(freq_h0, freq_h1) <= bound,
     )
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    alpha_hat: float
+    per_p: dict
+    pairs: int
+    trials: int
+
+
+def moment_ratio_check(
+    body: ConvexBody,
+    design: DesignDistribution,
+    p_values=(2, 4, 6),
+    trials: int = 100_000,
+    seed: int = 0,
+    pairs: int = 8,
+) -> MomentReport:
+    """Monte Carlo worst ratio ||f-g||_{Lp} / (sqrt(p) ||f-g||_{L2}) over
+    sampled member pairs of a sup-norm-unbounded (linear) class: an estimate
+    of its sub-Gaussian moment constant alpha."""
+    if body.sup_bound is not None:
+        raise ValueError("moment check targets the sup-norm-unbounded (linear) kinds")
+    if trials < 1 or pairs < 1:
+        raise ValueError(f"need trials >= 1 and pairs >= 1, got {trials} and {pairs}")
+    rng = np.random.default_rng(seed)
+    X = body.sample_design(trials, design, rng)
+    per_p = {int(q): 0.0 for q in p_values}
+    for _ in range(pairs):
+        b1 = body.sample_rows(1, rng)[0]
+        b2 = body.sample_rows(1, rng)[0]
+        delta = b1 - b2
+        l2 = np.linalg.norm(delta)
+        if l2 < 1e-12:
+            raise RuntimeError("sampled pair coincides")
+        z = np.abs(body.evaluate(X, delta))
+        for q in per_p:
+            lp = float(np.mean(z ** q) ** (1.0 / q))
+            per_p[q] = max(per_p[q], lp / (np.sqrt(q) * l2))
+    return MomentReport(alpha_hat=max(per_p.values()), per_p=per_p, pairs=pairs,
+                        trials=trials)
 
 
 def _trial_chunks(trials: int, per_trial: int):

@@ -9,18 +9,17 @@ eps^2 / (8 c^2).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import EntropyProfile
-from .seeds import canonical_json
 
 LOG2 = float(np.log(2.0))
 BISECT_STEPS = 200  # halvings of a log-eps bracket, past machine precision
 
 
-@dataclass
+@dataclass(frozen=True)
 class RateCertificate:
     """eps* fixed point plus the Fano-style lower-bound numbers."""
 
@@ -36,9 +35,6 @@ class RateCertificate:
     empty_crossing: bool = False
     regime: str = ""
     profile_digest: str = ""
-
-    def to_json(self) -> str:
-        return canonical_json(asdict(self))
 
 
 def _bisect_decreasing(fn, t_lo: float, t_hi: float):

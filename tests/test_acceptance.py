@@ -19,7 +19,6 @@ from locent.bodies import (
     LinearL1,
     MonotoneGrid,
     dist,
-    moment_ratio_check,
 )
 from locent.cli import main as cli_main
 from locent.entropy import EntropyBudget, exact_local_entropy, local_entropy
@@ -32,6 +31,7 @@ from locent.harness import (
     draw_data,
     fit_rate_slope,
     make_truth,
+    moment_ratio_check,
     run_experiment,
 )
 from locent.packing import exhaustive_max_packing, greedy_max_packing, greedy_select

@@ -12,7 +12,6 @@ from locent.bodies import (
     MonotoneGrid,
     dist,
     make_body,
-    moment_ratio_check,
 )
 from locent.harness import TruthSpec, make_truth
 
@@ -389,44 +388,6 @@ def test_isometry_parameter_vs_function_distance(body, design):
         z2 = body.evaluate(X, f - g) ** 2
         se = z2.std(ddof=1) / np.sqrt(len(z2))
         assert abs(z2.mean() - dist(body, f, g) ** 2) < 4 * se
-
-
-# -- moment ratios -----------------------------------------------------------
-
-
-def test_moment_ratio_gaussian_closed_forms():
-    body = LinearL1(4, 1.0)
-    rep = moment_ratio_check(body, DesignDistribution("gaussian"),
-                             p_values=(2, 4), trials=200_000, seed=11, pairs=4)
-    # p=2: ratio is ||.||_L2 / (sqrt(2) ||.||_L2) = 1/sqrt(2) exactly
-    assert abs(rep.per_p[2] - 1.0 / np.sqrt(2.0)) < 0.01
-    # p=4: L4/L2 = 3^(1/4) for Gaussians, so the alpha ratio is 3^(1/4)/2
-    assert abs(rep.per_p[4] - 3.0 ** 0.25 / 2.0) < 0.01
-
-
-def test_moment_ratio_rademacher_one_sparse():
-    # for a 1-sparse direction and Rademacher design, E Z^4 = t^4 so the
-    # p=4 alpha ratio is exactly 1/2
-    body = LinearL1(4, 1.0)
-    design = DesignDistribution("rademacher")
-    rng = np.random.default_rng(0)
-    X = design.sample(50_000, 4, rng)
-    delta = np.array([0.8, 0.0, 0.0, 0.0])
-    z = np.abs(X @ delta)
-    ratio = np.mean(z ** 4) ** 0.25 / (2.0 * np.linalg.norm(delta))
-    assert np.isclose(ratio, 0.5, atol=1e-12)
-    assert ratio <= 1.0
-
-
-def test_moment_check_rejects_grid_classes():
-    with pytest.raises(ValueError):
-        moment_ratio_check(MonotoneGrid(1, 4), DesignDistribution("gaussian"))
-
-
-def test_moment_check_rejects_coinciding_pairs():
-    # every member of an l1 ball of radius 1e-14 lies within 2e-14 of every other
-    with pytest.raises(RuntimeError, match="sampled pair coincides"):
-        moment_ratio_check(LinearL1(3, 1e-14), DesignDistribution("gaussian"), trials=100)
 
 
 # -- factory -----------------------------------------------------------------

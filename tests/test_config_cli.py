@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -412,6 +413,36 @@ def test_cli_moment_check(tmp_path):
     main(["--config", str(p), "--out", out, "moment-check", "--trials", "20000"])
     rep = json.loads(Path(out, "moment.json").read_text())
     assert rep["alpha_hat"] > 0 and rep["pairs"] == 8
+
+
+# sha256 of each JSON report as the CLI wrote it when these pins were set:
+# every field name and value and the verdict; at n = 64 the Monte Carlo
+# frequencies (0.718, 0.009/0.0115, 0.6305, 0.007/0.0075) pin the samplers too
+REPORT_PINS = [
+    ("monotone", ["check-concentration", "--n", "64", "--trials", "2000"], "concentration.json",
+     "cc858d8fbb862334afe3ab3ca9d26be28aab616841f4bfa59954374b8d77f9f1"),
+    ("monotone", ["check-test", "--n", "64", "--trials", "2000"], "test_error.json",
+     "8e500a700b877313b30b4eac6bd39bd178de1895f0d6f6b10e24596a857b365c"),
+    ("monotone", ["eps-star", "--n", "64"], "eps_star.json",
+     "436317d32a30cb92db312c7626f4a1da357c9d02bc6d455e596f25ed2dda6c37"),
+    ("sparse", ["check-concentration", "--n", "64", "--trials", "2000"], "concentration.json",
+     "b78c24bbe656075d0ba5da962f523c0844c01882cff79d2890cc9d4c0e7af677"),
+    ("sparse", ["check-test", "--n", "64", "--trials", "2000"], "test_error.json",
+     "3862499f2bebff7d7b01433878fd6a708f40c982d2a735437a6b537e093a52ff"),
+    ("sparse", ["moment-check", "--trials", "2000"], "moment.json",
+     "eba59aac0ee1ab63b98a7174438ee3692ce22e9803bdff51064b80893dfe5a5c"),
+    ("sparse", ["eps-star", "--n", "64"], "eps_star.json",
+     "dcd595acab2d9d219003d636c3e5fc2a3c01e3e437e0fbfc69f4b341ab8b8185"),
+]
+
+
+@pytest.mark.parametrize("ini, argv, name, pin", REPORT_PINS,
+                         ids=[f"{ini}-{argv[0]}" for ini, argv, *_ in REPORT_PINS])
+def test_report_artefact_bytes_are_pinned(ini, argv, name, pin, tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text({"monotone": MONOTONE_INI, "sparse": SPARSE_INI}[ini])
+    main(["--config", str(p), "--out", str(tmp_path / "o"), *argv])
+    assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == pin
 
 
 # every subcommand's own flags with their defaults, besides the global ones

@@ -32,6 +32,7 @@ from locent.harness import (
     draw_data,
     fit_rate_slope,
     make_truth,
+    moment_ratio_check,
     run_experiment,
 )
 
@@ -630,3 +631,78 @@ def test_check_test_error_precondition():
     with pytest.raises(ValueError, match=re.escape("need n ||f-fbar||^2 < delta^2 = n||f-g||^2/C^2")):
         check_test_error(body, f, g, g, NoiseModel("gaussian", 1.0), 400, consts,
                          trials=10, seed=0)
+
+
+# -- moment ratios -----------------------------------------------------------
+
+
+def test_moment_ratio_gaussian_closed_forms():
+    body = LinearL1(4, 1.0)
+    rep = moment_ratio_check(body, DesignDistribution("gaussian"),
+                             p_values=(2, 4), trials=200_000, seed=11, pairs=4)
+    # p=2: ratio is ||.||_L2 / (sqrt(2) ||.||_L2) = 1/sqrt(2) exactly
+    assert abs(rep.per_p[2] - 1.0 / np.sqrt(2.0)) < 0.01
+    # p=4: L4/L2 = 3^(1/4) for Gaussians, so the alpha ratio is 3^(1/4)/2
+    assert abs(rep.per_p[4] - 3.0 ** 0.25 / 2.0) < 0.01
+
+
+def test_moment_ratio_rademacher_one_sparse():
+    # for a 1-sparse direction and Rademacher design, E Z^4 = t^4 so the
+    # p=4 alpha ratio is exactly 1/2
+    body = LinearL1(4, 1.0)
+    design = DesignDistribution("rademacher")
+    rng = np.random.default_rng(0)
+    X = design.sample(50_000, 4, rng)
+    delta = np.array([0.8, 0.0, 0.0, 0.0])
+    z = np.abs(X @ delta)
+    ratio = np.mean(z ** 4) ** 0.25 / (2.0 * np.linalg.norm(delta))
+    assert np.isclose(ratio, 0.5, atol=1e-12)
+    assert ratio <= 1.0
+
+
+def test_moment_check_rejects_grid_classes():
+    with pytest.raises(ValueError):
+        moment_ratio_check(MonotoneGrid(1, 4), DesignDistribution("gaussian"))
+
+
+def test_moment_check_rejects_coinciding_pairs():
+    # every member of an l1 ball of radius 1e-14 lies within 2e-14 of every other
+    with pytest.raises(RuntimeError, match="sampled pair coincides"):
+        moment_ratio_check(LinearL1(3, 1e-14), DesignDistribution("gaussian"), trials=100)
+
+
+# -- counts and verdicts -------------------------------------------------------
+
+
+@pytest.mark.parametrize("check, counts, message", [
+    ("concentration", {"trials": 0}, "need trials >= 1, got 0"),
+    ("concentration", {"trials": -5}, "need trials >= 1, got -5"),
+    ("test-error", {"trials": 0}, "need trials >= 1, got 0"),
+    ("moment", {"trials": 0}, "need trials >= 1 and pairs >= 1, got 0 and 8"),
+    ("moment", {"trials": 10, "pairs": 0}, "need trials >= 1 and pairs >= 1, got 10 and 0"),
+], ids=["concentration-trials-0", "concentration-trials-negative", "test-error-trials-0",
+        "moment-trials-0", "moment-pairs-0"])
+def test_checks_reject_counts_below_one(check, counts, message):
+    # the first two died unpacking an empty chunk list; the moment check
+    # returned alpha_hat = 0 from NaN ratios (trials = 0) or from no pairs
+    body = MonotoneGrid(1, 2)
+    f, g = body.point([0.0, 0.0]), body.point([1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        if check == "concentration":
+            check_norm_concentration(body, f, g, f, 6400, 4.0,
+                                     float(np.sqrt(6400 / 16.0) * 0.999), seed=0, **counts)
+        elif check == "test-error":
+            check_test_error(body, f, g, f, NoiseModel("gaussian", 1.0), 400,
+                             RateConstants.bounded(4.0, 1.0, 1.0), seed=0, **counts)
+        else:
+            moment_ratio_check(LinearL1(3), DesignDistribution("gaussian"), **counts)
+
+
+def test_reports_are_frozen_and_carry_their_verdict():
+    body = MonotoneGrid(1, 1)
+    f, g = body.point([0.0]), body.point([1.0])
+    rep = check_norm_concentration(body, f, g, f, 6400, 4.0, float(np.sqrt(400.0) * 0.999),
+                                   trials=10, seed=2)
+    assert dataclasses.asdict(rep)["passed"] is True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.passed = False
