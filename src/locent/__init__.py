@@ -13,19 +13,13 @@ from .bodies import (
     dist,
     make_body,
 )
-from .entropy import (
-    EntropyBudget,
-    EntropyProfile,
-    exact_local_entropy,
-    local_entropy,
-)
+from .entropy import EntropyBudget, EntropyProfile, local_entropy
 from .estimator import (
     EstimatorTrace,
     NoiseModel,
     PoolBudget,
     RateConstants,
     RegressionData,
-    pairwise_test_psi,
     run_algorithm1,
     stage_schedule,
 )
@@ -39,7 +33,7 @@ from .harness import (
     moment_ratio_check,
     run_experiment,
 )
-from .packing import exhaustive_max_packing, greedy_max_packing
+from .packing import greedy_max_packing
 from .rates import (
     RateCertificate,
     certify_lower_bound,

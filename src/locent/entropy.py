@@ -5,8 +5,7 @@ largest (eps/c)-packing of an eps-ball around a member intersected with the
 class, supremized over the member for the global version and evaluated at a
 fixed member for the adaptive version.  Greedy profiles approximate packings
 by pool-maximal greedy packings and the supremum by a maximum over sampled
-centers plus class-specific extreme points; exact profiles use the
-branch-and-bound oracle on an explicit candidate restriction.
+centers plus class-specific extreme points.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import ConvexBody, dist_rows
-from .packing import exhaustive_max_packing, greedy_max_packing
+from .bodies import ConvexBody
+from .packing import greedy_max_packing
 from .seeds import derive_seed
 
 
@@ -51,7 +50,6 @@ class EntropyProfile:
     kind: str  # "global" | "adaptive"
     eps: np.ndarray
     log_m: np.ndarray
-    exact: bool = False
     center: np.ndarray | None = None
     pool_size: int = 0
     seed: int = 0
@@ -68,13 +66,11 @@ class EntropyProfile:
             raise ValueError("eps grid must be strictly increasing")
         if np.any(self.log_m < 0):
             raise ValueError("log packing counts are nonnegative")
-        if self.exact and np.any(np.diff(self.log_m) > 1e-12):
-            raise ValueError("exact profile must be non-increasing in eps")
 
     @property
     def saturated(self) -> np.ndarray:
-        """Greedy grid points whose count is the pool ceiling, not the class's."""
-        return (self.log_m >= np.log(pool_ceiling(self.pool_size))) & (not self.exact)
+        """Grid points whose count is the pool ceiling, not the class's."""
+        return self.log_m >= np.log(pool_ceiling(self.pool_size))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -108,8 +104,6 @@ class EntropyProfile:
         Greedy undercounting can only be raised; if the correction exceeds
         ``max_rel_slack`` relatively, the profile is rejected.
         """
-        if self.exact:
-            return self
         fixed = np.maximum.accumulate(self.log_m[::-1])[::-1]
         base = np.maximum(self.log_m, 1e-12)
         slack = float(np.max((fixed - self.log_m) / base))
@@ -128,23 +122,10 @@ class EntropyProfile:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(self.CSV_COLUMNS)
         for e, lm in zip(self.eps, self.log_m):
-            w.writerow([repr(float(e)), repr(float(lm)), int(self.exact), self.kind,
+            # exact_flag is always 0: the column keeps entropy.csv's layout
+            w.writerow([repr(float(e)), repr(float(lm)), 0, self.kind,
                         self.center_id, repr(float(self.c)), self.pool_size, self.seed])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "EntropyProfile":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        if not rows:
-            raise ValueError("empty profile CSV")
-        eps = np.array([float(r["eps"]) for r in rows])
-        log_m = np.array([float(r["log_m"]) for r in rows])
-        first = rows[0]
-        return cls(
-            c=float(first["c"]), kind=first["kind"], eps=eps, log_m=log_m,
-            exact=bool(int(first["exact_flag"])), pool_size=int(first["pool_size"]),
-            seed=int(first["seed"]), center_id=first["center_id"],
-        )
 
 
 def _global_centers(body: ConvexBody, budget: EntropyBudget, seed: int) -> np.ndarray:
@@ -199,43 +180,7 @@ def local_entropy(
                 break
         log_m[i] = np.log(best)
     return EntropyProfile(
-        c=float(c), kind=mode, eps=eps_grid, log_m=log_m, exact=False,
+        c=float(c), kind=mode, eps=eps_grid, log_m=log_m,
         center=ctr, pool_size=budget.pool_size, seed=seed,
         center_id="" if ctr is None else f"adaptive@{derive_seed(0, ctr) & 0xFFFF:04x}",
-    )
-
-
-def exact_local_entropy(
-    body: ConvexBody,
-    candidates,
-    eps_grid,
-    c: float,
-    mode: str = "global",
-    center=None,
-) -> EntropyProfile:
-    """Exact local entropy of the finite restriction given by ``candidates``.
-
-    For each eps the largest (eps/c)-packing of candidates within the eps
-    ball is found by branch and bound; the sup ranges over the candidates
-    themselves in global mode.
-    """
-    if len(candidates) == 0:
-        raise ValueError("candidates must be nonempty")
-    pts = np.asarray(candidates, dtype=np.float64)
-    eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
-    ctr = body.point(center) if mode == "adaptive" else None
-    centers = pts if ctr is None else np.atleast_2d(ctr)
-    log_m = np.zeros(len(eps_grid))
-    for i, eps in enumerate(eps_grid):
-        best = 0
-        for row in centers:
-            inside = pts[dist_rows(body, pts, row) <= eps]
-            if len(inside) == 0:
-                continue
-            pack = exhaustive_max_packing(body, inside, float(eps) / c)
-            best = max(best, len(pack))
-        log_m[i] = np.log(max(best, 1))
-    return EntropyProfile(
-        c=float(c), kind=mode, eps=eps_grid, log_m=log_m, exact=True,
-        center=ctr, pool_size=len(pts), seed=0,
     )

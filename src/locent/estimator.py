@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, dist, dist_rows, pull_into_ball
+from .bodies import ConvexBody, dist_rows, pull_into_ball
 from .packing import greedy_max_packing
 from .seeds import canonical_json, derive_seed
 
@@ -429,39 +429,3 @@ def stage_schedule(
             j_star += 1
     return j_star
 
-
-# ---------------------------------------------------------------------------
-# Pairwise test psi
-# ---------------------------------------------------------------------------
-
-
-def _psi_from_gap(gap, mag, n: int, dim: int):
-    """psi = 1 where the gap rss_f - rss_g is >= 0, or a tie.
-
-    ``mag`` is the gap's sum taken over input magnitudes.  The gap is a sum
-    of n + 2 dim rounded products, so (n + 2 dim + 8) eps mag bounds its
-    rounding error with margin, and a computed gap that close to zero is a
-    tie.
-    """
-    tie = (n + 2 * dim + 8) * np.finfo(np.float64).eps
-    return gap >= -tie * mag
-
-
-def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
-    """psi(Y) = 1 iff the residual sum of squares at f is >= that at g.
-
-    Decided from the gap rss_f - rss_g = sum_i u(x_i) (2 y_i - s(x_i)) with
-    u = g - f and s = f + g; a tie gives psi = 1 even when rounding puts the
-    computed gap just below zero.
-    """
-    body.check_design(data.x)
-    fc, gc = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
-    if dist(body, fc, gc) == 0.0:
-        raise ValueError("test needs two distinct hypotheses")
-    x = data.x
-    # node indices are nonnegative, so |x| evaluates magnitudes on every kind
-    u, s = body.evaluate(x, gc - fc), body.evaluate(x, fc + gc)
-    mu = body.evaluate(np.abs(x), np.abs(fc) + np.abs(gc))
-    gap = float(u @ (2.0 * data.y - s))
-    mag = float(mu @ (2.0 * np.abs(data.y) + mu))
-    return bool(_psi_from_gap(gap, mag, data.n, body.dim))

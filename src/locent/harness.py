@@ -42,7 +42,6 @@ from .estimator import (
     PoolBudget,
     RateConstants,
     RegressionData,
-    _psi_from_gap,
     run_algorithm1,
     stage_schedule,
 )
@@ -358,6 +357,26 @@ def _cell_or_nan(job: tuple) -> tuple[float, str]:
         return np.nan, type(exc).__name__
 
 
+def _one_blas_thread():
+    """Pool-worker initializer: pin numpy's bundled OpenBLAS to one thread,
+    since K forked workers each keeping the parent's BLAS threads
+    oversubscribe the cores.  Does nothing when no such library is found."""
+    # imported here: only pool workers need them
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn(1)
+                return
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Full sweep over the n grid.
 
@@ -367,8 +386,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     within a sweep (its constants, kind and seed follow the body), so the n
     sharing a body share their points.
     Then all replicates of all n run, serially or on one pool of
-    ``threads`` processes; a failed replicate is recorded as NaN without
-    aborting the sweep, and the outputs do not depend on ``threads``.
+    ``threads`` processes, each pinned to one BLAS thread; a failed
+    replicate is recorded as NaN without aborting the sweep, and the
+    outputs do not depend on ``threads``.
     """
     theory_vals: dict = {}
     formula: RateFormula | None = None
@@ -395,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         # imported here: at module level it adds about 20 ms to `import locent`
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
             flat = list(pool.map(_cell_or_nan, jobs))
     else:
         flat = [_cell_or_nan(job) for job in jobs]
@@ -555,6 +575,18 @@ class TestErrorReport:
         return max(self.freq_h0, self.freq_h1)
 
 
+def _psi_from_gap(gap, mag, n: int, dim: int):
+    """psi = 1 where the gap rss_f - rss_g is >= 0, or a tie.
+
+    ``mag`` is the gap's sum taken over input magnitudes.  The gap is a sum
+    of n + 2 dim rounded products, so (n + 2 dim + 8) eps mag bounds its
+    rounding error with margin, and a computed gap that close to zero is a
+    tie.
+    """
+    tie = (n + 2 * dim + 8) * np.finfo(np.float64).eps
+    return gap >= -tie * mag
+
+
 def check_test_error(
     body: ConvexBody,
     f,
@@ -576,12 +608,12 @@ def check_test_error(
 
     psi depends on a sample only through the gap D = rss_f - rss_g =
     sum_i (g-f)(x_i) (2 y_i - (f+g)(x_i)), which each trial draws through
-    :func:`_pair_draws`, from its exact law where one is known.  As in
-    :func:`pairwise_test_psi`, a tie rss_f == rss_g gives psi = 1; a gap
-    within the rounding bound of its sum counts as a tie, so every path
-    decides ties the same way.  D is built from g - f and f + g only, so
-    swapping f and g negates it bit for bit, and with the stream keyed by
-    the truth the two reports mirror exactly whenever no trial ties.
+    :func:`_pair_draws`, from its exact law where one is known.  A tie
+    rss_f == rss_g gives psi = 1 (:func:`_psi_from_gap`); a gap within the
+    rounding bound of its sum counts as a tie, so every path decides ties
+    the same way.  D is built from g - f and f + g only, so swapping f and
+    g negates it bit for bit, and with the stream keyed by the truth the
+    two reports mirror exactly whenever no trial ties.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -645,9 +677,11 @@ def moment_ratio_check(
         raise ValueError("moment check targets the sup-norm-unbounded (linear) kinds")
     if trials < 1 or pairs < 1:
         raise ValueError(f"need trials >= 1 and pairs >= 1, got {trials} and {pairs}")
+    per_p = {int(q): 0.0 for q in p_values}
+    if not per_p or min(per_p) < 1:
+        raise ValueError(f"p_values must be nonempty with every p >= 1, got {list(p_values)}")
     rng = np.random.default_rng(seed)
     X = body.sample_design(trials, design, rng)
-    per_p = {int(q): 0.0 for q in p_values}
     for _ in range(pairs):
         b1 = body.sample_rows(1, rng)[0]
         b2 = body.sample_rows(1, rng)[0]
@@ -712,9 +746,9 @@ def _pair_draws(body, design, noise, n, trials, rng, a, b, mag_a=None, mag_b=Non
     law signs a so that its first nonzero coordinate is positive and signs
     A back, so negating a negates A bit for bit.
     """
-    exact = _exact_law_applies(body, design, noise, n)
+    exact_law = _exact_law_applies(body, design, noise, n)
     rademacher = noise is not None and noise.kind == "scaled_rademacher"
-    if exact and not isinstance(body, LinearBody):
+    if exact_law and not isinstance(body, LinearBody):
         pvals = np.full(body.dim, 1.0 / body.dim)
         for t in _trial_chunks(trials, body.dim):
             c = rng.multinomial(n, pvals, size=t)
@@ -725,7 +759,7 @@ def _pair_draws(body, design, noise, n, trials, rng, a, b, mag_a=None, mag_b=Non
             else:
                 r = 2.0 * (noise.sigma * np.sqrt(c) * rng.standard_normal(c.shape))
             yield c, a, b, r, mag_a, mag_b
-    elif exact:
+    elif exact_law:
         nonzero = a[a != 0.0]
         sign = -1.0 if len(nonzero) and nonzero[0] < 0.0 else 1.0
         pair = (sign * a, b)

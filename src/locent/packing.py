@@ -1,12 +1,10 @@
-"""Greedy maximal packings and an exhaustive small-instance oracle.
+"""Greedy maximal packings.
 
 A packing at separation ``sep`` is a set of members with all pairwise
 distances strictly greater than ``sep``.  True maximal packings of a
 continuous body are uncomputable, so the greedy routine is maximal relative
 to a seeded candidate pool: after it stops, every pool candidate is within
-``sep`` of some center.  The exhaustive routine finds a maximum-cardinality
-packing of an explicit candidate list by branch and bound and serves as the
-oracle for the greedy one.
+``sep`` of some center.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 from .bodies import ConvexBody, _norm_rows, dist_rows, pull_into_ball
 from .seeds import rng_for
 
-EXHAUSTIVE_CAP = 24
 # rows per screen block: one float32 matmul of 128 rows against a window of at
 # most a 1,800-row pool writes 0.9 MB at most, which the comparison reads from L2
 SCREEN_BLOCK = 128
@@ -247,50 +244,3 @@ def greedy_max_packing(
             raise RuntimeError("greedy packing is not maximal in its pool")
     return pool[kept]
 
-
-def exhaustive_max_packing(
-    body: ConvexBody,
-    candidates,
-    separation: float,
-    cap: int = EXHAUSTIVE_CAP,
-) -> np.ndarray:
-    """Maximum-cardinality strictly separated subset of explicit candidates.
-
-    Branch and bound over the conflict graph; among maximum subsets the one
-    preferring lexicographically smaller coordinate vectors is returned, as
-    a ``(k, dim)`` array of its rows in lexicographic order.  Intended for
-    candidate lists of at most ``cap`` points.
-    """
-    if len(candidates) == 0:
-        raise ValueError("candidates must be nonempty")
-    pts = np.asarray(candidates, dtype=np.float64)
-    n = len(pts)
-    if n > cap:
-        raise ValueError(f"{n} candidates exceed cap {cap}")
-    order = sorted(range(n), key=lambda i: tuple(pts[i]))
-    pts = pts[order]
-    compat = dist_rows(body, pts[:, None, :], pts) > separation  # strict
-    np.fill_diagonal(compat, False)
-    # bitmask of candidates compatible with vertex i
-    masks = [sum(1 << j for j in range(n) if compat[i, j]) for i in range(n)]
-
-    best: list[int] = []
-
-    def search(chosen: list[int], avail: int):
-        nonlocal best
-        if len(chosen) + bin(avail).count("1") <= len(best):
-            return
-        if avail == 0:
-            if len(chosen) > len(best):
-                best = chosen.copy()
-            return
-        v = (avail & -avail).bit_length() - 1  # lowest available vertex
-        rest = avail & ~(1 << v)
-        # include-first in lexicographic vertex order
-        chosen.append(v)
-        search(chosen, rest & masks[v])
-        chosen.pop()
-        search(chosen, rest)
-
-    search([], (1 << n) - 1)
-    return pts[sorted(best)]

@@ -36,16 +36,6 @@ class WidthSet:
     def support_rows(self, G: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def scaled(self, alpha: float) -> "WidthSet":
-        import copy
-
-        if alpha <= 0:
-            raise ValueError("scale must be positive")
-        out = copy.copy(self)
-        out.scale = self.scale * alpha
-        out.name = f"{alpha}*{self.name}"
-        return out
-
 
 class L2Ball(WidthSet):
     def __init__(self, p: int, radius: float = 1.0):
@@ -88,17 +78,6 @@ class Ellipsoid(WidthSet):
 
     def support_rows(self, G):
         return np.sqrt((G * G * self.a[None, :]).sum(axis=1))
-
-
-class Singleton(WidthSet):
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.p = len(self.x)
-        self.scale = 1.0
-        self.name = f"singleton(p={self.p})"
-
-    def support_rows(self, G):
-        return G @ self.x
 
 
 class SparseTangentConeBall(WidthSet):

@@ -5,12 +5,10 @@ lines.  The Monte Carlo experiments (criteria 5-7) dominate the runtime at
 a few minutes total.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from locent.bodies import (
     DesignDistribution,
@@ -21,7 +19,7 @@ from locent.bodies import (
     dist,
 )
 from locent.cli import main as cli_main
-from locent.entropy import EntropyBudget, exact_local_entropy, local_entropy
+from locent.entropy import EntropyBudget, local_entropy
 from locent.estimator import NoiseModel, PoolBudget, RateConstants, run_algorithm1
 from locent.harness import (
     ExperimentConfig,
@@ -30,11 +28,10 @@ from locent.harness import (
     check_test_error,
     draw_data,
     fit_rate_slope,
-    make_truth,
     moment_ratio_check,
     run_experiment,
 )
-from locent.packing import exhaustive_max_packing, greedy_max_packing, greedy_select
+from locent.packing import greedy_max_packing, greedy_select
 from locent.rates import kolmogorov_index, solve_eps_star
 from locent.widths import (
     Box,
@@ -49,6 +46,7 @@ from locent.widths import (
 )
 
 from conftest import UnitBox
+from oracles import exact_local_entropy, exhaustive_max_packing, scaled
 from test_rates import constant_profile, oracle_scan, power_profile
 
 
@@ -316,7 +314,7 @@ def test_acceptance_10_gaussian_width():
     outer = gaussian_width(Box([-1, -1, -1], [1, 1, 1]), draws=2048, seed=5)
     mono_ok = inner.value <= outer.value
     w1 = gaussian_width(L1Ball(8), draws=1024, seed=9)
-    w3 = gaussian_width(L1Ball(8).scaled(3.0), draws=1024, seed=9)
+    w3 = gaussian_width(scaled(L1Ball(8), 3.0), draws=1024, seed=9)
     homog_ok = np.isclose(w3.value, 3.0 * w1.value, rtol=0, atol=1e-12)
     cone_ok = True
     for p, s in [(64, 4), (128, 8)]:

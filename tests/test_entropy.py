@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -12,14 +14,14 @@ from locent.entropy import (
     EntropyBudget,
     EntropyProfile,
     _global_centers,
-    exact_local_entropy,
     local_entropy,
 )
-from locent.packing import exhaustive_max_packing, greedy_max_packing
+from locent.packing import greedy_max_packing
 from locent.seeds import derive_seed
 from locent.widths import sparse_cone_width_bound
 
 from conftest import SingletonBody
+from oracles import exact_local_entropy, exhaustive_max_packing
 
 INTERVAL = MonotoneGrid(1, 1)
 
@@ -44,7 +46,6 @@ def test_interval_entropy_log2_when_ball_swallows_class():
 def test_exact_profile_non_increasing_interval():
     # class-boundary-dominated eps range keeps the grid restriction faithful
     prof = exact_local_entropy(INTERVAL, interval_candidates(), [0.3, 0.5, 0.8, 1.2, 2.0], c=2.0)
-    assert prof.exact
     assert np.all(np.diff(prof.log_m) <= 1e-12)
     # continuum check: at eps=0.5 centered anywhere, 4 strictly (eps/2)-separated
     # points fit in a window of width 2*eps intersected with [0,1]
@@ -109,7 +110,7 @@ def test_sparse_center_adaptive_entropy_bounded_by_cone_width():
 
 def test_monotonization_running_max_and_slack():
     prof = EntropyProfile(c=2.0, kind="global", eps=np.array([0.1, 0.2, 0.4]),
-                          log_m=np.array([3.0, 2.9, 3.1]), exact=False)
+                          log_m=np.array([3.0, 2.9, 3.1]))
     with pytest.raises(ValueError, match=r"monotonization changed the profile by 0\.069 > 0\.01"):
         prof.monotonized(max_rel_slack=0.01)
     fixed = prof.monotonized(max_rel_slack=0.15)
@@ -117,16 +118,10 @@ def test_monotonization_running_max_and_slack():
     assert np.allclose(fixed.log_m, [3.1, 3.1, 3.1])
 
 
-def test_exact_profile_rejects_increase():
-    with pytest.raises(ValueError, match="exact profile must be non-increasing in eps"):
-        EntropyProfile(c=2.0, kind="global", eps=np.array([0.1, 0.2]),
-                       log_m=np.array([1.0, 2.0]), exact=True)
-
-
 def test_value_interpolation_exact_on_power_laws():
     eps = np.geomspace(1e-3, 1e2, 41)
     for q in (0.5, 1.0, 4.0):
-        prof = EntropyProfile(c=2.0, kind="global", eps=eps, log_m=eps ** -q, exact=True)
+        prof = EntropyProfile(c=2.0, kind="global", eps=eps, log_m=eps ** -q)
         for e in np.geomspace(2e-3, 50.0, 17):
             assert np.isclose(prof.value(e), e ** -q, rtol=1e-12)
 
@@ -151,7 +146,7 @@ def test_exact_local_entropy_sits_in_the_global_sandwich(case):
         eps_grid = [0.6, 1.0, 1.5]
     c = 2.0
     prof = exact_local_entropy(body, cands, eps_grid, c=c)
-    assert prof.exact and prof.log_m.max() > 0.0
+    assert prof.log_m.max() > 0.0
 
     def log_m(sep):
         return np.log(len(exhaustive_max_packing(body, cands, sep)))
@@ -160,15 +155,6 @@ def test_exact_local_entropy_sits_in_the_global_sandwich(case):
         upper = log_m(eps / c)
         assert upper >= local - 1e-12
         assert local >= upper - log_m(eps) - 1e-12
-
-
-def test_profile_csv_roundtrip():
-    prof = local_entropy(INTERVAL, [0.5, 1.0], c=2.0,
-                         budget=EntropyBudget(pool_size=32, centers=2), seed=4)
-    back = EntropyProfile.from_csv(prof.to_csv())
-    assert np.array_equal(back.eps, prof.eps)
-    assert np.array_equal(back.log_m, prof.log_m)
-    assert back.c == prof.c and back.kind == prof.kind and back.exact == prof.exact
 
 
 def test_adaptive_profile_csv_same_across_hash_seeds():
@@ -248,14 +234,15 @@ def test_early_exit_skips_centers_once_the_pool_is_full(monkeypatch):
 def test_saturated_is_derived_and_survives_csv_and_monotonization():
     prof = _profile(*SCANS["saturated"], seed=5)
     assert prof.saturated.any() and not prof.saturated.all()
-    assert np.array_equal(EntropyProfile.from_csv(prof.to_csv()).saturated, prof.saturated)
+    # the CSV's log_m and pool_size columns give the same flags
+    rows = list(csv.DictReader(io.StringIO(prof.to_csv())))
+    back = EntropyProfile(c=prof.c, kind=prof.kind, eps=[float(r["eps"]) for r in rows],
+                          log_m=[float(r["log_m"]) for r in rows],
+                          pool_size=int(rows[0]["pool_size"]))
+    assert np.array_equal(back.saturated, prof.saturated)
     assert np.array_equal(prof.monotonized().saturated, prof.saturated)
     with pytest.raises(AttributeError):
         prof.saturated = np.zeros(len(prof.eps), dtype=bool)
-    # an exact profile is never at a pool ceiling, whatever its counts
-    exact = EntropyProfile(c=2.0, kind="global", eps=[0.5, 1.0], log_m=np.log([3.0, 2.0]),
-                           exact=True, pool_size=2)
-    assert not exact.saturated.any() and exact.saturated.shape == (2,)
 
 
 def test_adaptive_profiles_keep_a_private_center():

@@ -20,13 +20,14 @@ from locent.estimator import (
     entropy_arg,
     exponent_constant_bounded,
     exponent_constant_unbounded,
-    pairwise_test_psi,
     run_algorithm1,
     stage_eps,
     stage_schedule,
     structured_candidates,
 )
 from locent.harness import TruthSpec, draw_data, make_truth
+
+from oracles import pairwise_test_psi
 
 LOG2 = np.log(2.0)
 
@@ -334,7 +335,7 @@ def test_psi_identical_hypotheses():
 
 def flat_profile(c, value, lo=1e-4, hi=16.0):
     return EntropyProfile(c=c, kind="global", eps=np.array([lo, hi]),
-                          log_m=np.array([value, value]), exact=True)
+                          log_m=np.array([value, value]))
 
 
 def recording(log_m):
@@ -393,7 +394,7 @@ def test_schedule_power_profile_matches_direct_scan():
     c, d = consts.c, 1.0
     eps_grid = np.geomspace(1e-5, 8.0, 120)
     prof = EntropyProfile(c=c, kind="global", eps=eps_grid,
-                          log_m=eps_grid ** (-2.0 * (p - 1)), exact=True)
+                          log_m=eps_grid ** (-2.0 * (p - 1)))
     j_star = stage_schedule(prof.value, n, consts, "bounded", d, max_stages=60)
 
     def eps_at(J):
@@ -515,7 +516,7 @@ def test_schedule_adaptive_uses_doubled_argument():
     # big entropy above eps = 3, zero below: J=1 has argument 2d=2 (bounded)
     # vs 4 (adaptive)
     prof = EntropyProfile(c=c2, kind="adaptive", eps=np.array([0.01, 3.0, 3.01, 8.0]),
-                          log_m=np.array([0.0, 0.0, 50.0, 50.0]), exact=False,
+                          log_m=np.array([0.0, 0.0, 50.0, 50.0]),
                           center=np.zeros(1))
     # blocked by the huge entropy at arg 4
     assert stage_schedule(prof.value, n, consts, "adaptive", d) == 1

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,44 @@ def test_experiment_risks_and_theory_recorded():
 def test_experiment_threads_byte_identical():
     cfg = small_config()
     assert run_experiment(cfg, threads=2).rows_csv() == run_experiment(cfg).rows_csv()
+
+
+# each replicate returns the BLAS thread count of the worker that ran it,
+# read as bench/run.py reads it
+BLAS_THREADS_SCRIPT = """
+import ctypes, glob, os
+import numpy as np
+from locent import harness
+from locent.estimator import PoolBudget
+
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+fns = [getattr(ctypes.CDLL(p), "scipy_openblas_get_num_threads64_", None)
+       for p in glob.glob(os.path.join(libs, "*openblas*"))]
+get = next((f for f in fns if f is not None), None)
+if get is None:
+    print("absent")
+    raise SystemExit
+harness._run_cell = lambda *job: float(get())
+cfg = harness.ExperimentConfig(body_kind="monotone_grid", body_params={"p": 1, "m": 4},
+                               n_grid=(32, 64), replicates=2, pool=PoolBudget(size=16, cap=32))
+res = harness.run_experiment(cfg, threads=2)
+print(sorted({float(v) for r in res.risks.values() for v in r}))
+"""
+
+
+def test_experiment_pool_workers_run_one_blas_thread():
+    # with the BLAS variables unset, forked workers used to keep the
+    # parent's OpenBLAS threads (one per core) and oversubscribe the cores
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                        "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    if out == "absent":
+        pytest.skip("numpy's OpenBLAS exports no thread-count symbol")
+    assert out == "[1.0]"
 
 
 def _count_profiles(monkeypatch):
@@ -663,6 +705,15 @@ def test_moment_ratio_rademacher_one_sparse():
 def test_moment_check_rejects_grid_classes():
     with pytest.raises(ValueError):
         moment_ratio_check(MonotoneGrid(1, 4), DesignDistribution("gaussian"))
+
+
+@pytest.mark.parametrize("p_values", [(), (0, 2), (2, 0.5)], ids=["empty", "p-0", "p-half"])
+def test_moment_check_rejects_p_values_below_one(p_values):
+    # each used to draw the whole design first, then die in max() on no p
+    # or divide by zero at p = 0
+    with pytest.raises(ValueError, match=r"p_values must be nonempty with every p >= 1"):
+        moment_ratio_check(LinearL1(3, 1.0), DesignDistribution("gaussian"),
+                           p_values=p_values, trials=100)
 
 
 def test_moment_check_rejects_coinciding_pairs():

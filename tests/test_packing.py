@@ -13,15 +13,11 @@ from locent import packing
 from locent.bodies import (
     HolderGrid, LinearEllipsoid, LinearL1, MonotoneGrid, dist, dist_rows, pull_into_ball,
 )
-from locent.entropy import exact_local_entropy
-from locent.packing import (
-    exhaustive_max_packing,
-    greedy_max_packing,
-    greedy_select,
-)
+from locent.packing import greedy_max_packing, greedy_select
 from locent.seeds import rng_for
 
 from conftest import UnitBox, brute_force_max_packing, sweep_max_separated_1d
+from oracles import exact_local_entropy, exhaustive_max_packing
 
 INTERVAL = MonotoneGrid(1, 1)  # the interval [0, 1] as a 1-D class body
 SRC = str(Path(locent.__file__).resolve().parents[1])

@@ -3,20 +3,19 @@ import pytest
 from scipy.optimize import minimize
 
 from locent.bodies import LinearL1, MonotoneGrid
-from locent.entropy import exact_local_entropy
-from locent.packing import exhaustive_max_packing
 from locent.widths import (
     Box,
     Ellipsoid,
     L1Ball,
     L2Ball,
-    Singleton,
     SparseTangentConeBall,
     gaussian_width,
     sparse_cone_width_bound,
     squared_width_mean,
     sudakov_entropy_bound,
 )
+
+from oracles import Singleton, exact_local_entropy, exhaustive_max_packing, scaled
 
 
 def test_unit_disk_width_closed_form():
@@ -67,8 +66,8 @@ def test_width_monotonicity_exact_under_crn():
 
 def test_width_homogeneity_exact_under_crn():
     base = gaussian_width(Ellipsoid([0.3, 0.7, 1.0]), draws=256, seed=9)
-    scaled = gaussian_width(Ellipsoid([0.3, 0.7, 1.0]).scaled(2.5), draws=256, seed=9)
-    assert np.isclose(scaled.value, 2.5 * base.value, rtol=0, atol=1e-12)
+    wide = gaussian_width(scaled(Ellipsoid([0.3, 0.7, 1.0]), 2.5), draws=256, seed=9)
+    assert np.isclose(wide.value, 2.5 * base.value, rtol=0, atol=1e-12)
 
 
 def test_sparse_cone_support_matches_nonlinear_solver():
