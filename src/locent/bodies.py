@@ -180,7 +180,8 @@ class LinearBody(ConvexBody):
         return design.sample(count, self.p, rng)
 
     def evaluate(self, x, coords):
-        return x @ coords
+        # an elementwise sum, not a BLAS product, so no kernel choice moves its bits
+        return (x * coords).sum(axis=1)
 
     def check_design(self, x):
         if x.ndim != 2 or x.shape[1] != self.p:
@@ -437,11 +438,10 @@ class HolderGrid(ConvexBody):
 
     def project_rows(self, X):
         X = np.asarray(X, dtype=np.float64)
-        norm_cap = self.gamma * np.sqrt(self.m)
 
         def ball_proj(Z):
             n = np.linalg.norm(Z, axis=1)
-            f = np.where(n > norm_cap, norm_cap / np.maximum(n, 1e-300), 1.0)
+            f = np.where(n > self.sup_bound, self.sup_bound / np.maximum(n, 1e-300), 1.0)
             return Z * f[:, None]
 
         if self.m == 1:
@@ -456,7 +456,7 @@ class HolderGrid(ConvexBody):
         return proj.dykstra(X, projs)
 
     def contains_coords(self, x, tol=MEMBERSHIP_TOL):
-        if not np.isfinite(x).all() or np.linalg.norm(x) > self.gamma * np.sqrt(self.m) + tol:
+        if not np.isfinite(x).all() or np.linalg.norm(x) > self.sup_bound + tol:
             return False
         return bool((self._lag_norms(x[None, :])[0] <= self._lag_bounds + tol).all())
 
@@ -465,7 +465,7 @@ class HolderGrid(ConvexBody):
         bound, so scaling by the worst bound/value ratio is exactly feasible
         and the identity on members."""
         X = np.asarray(X, dtype=np.float64)
-        t = self.gamma * np.sqrt(self.m) / np.maximum(np.linalg.norm(X, axis=1), 1e-300)
+        t = self.sup_bound / np.maximum(np.linalg.norm(X, axis=1), 1e-300)
         lag_t = self._lag_bounds / np.maximum(self._lag_norms(X), 1e-300)
         t = np.minimum(t, lag_t.min(axis=1, initial=np.inf))
         return X * np.minimum(t, 1.0)[:, None]
@@ -489,8 +489,7 @@ class HolderGrid(ConvexBody):
             lambda k: (self.gamma * (rng.integers(0, 2, size=k) * 2.0 - 1.0))[:, None])
         # the norm cap is homogeneous, so one radial scale finishes the job
         n = np.linalg.norm(rows, axis=1)
-        cap = self.gamma * np.sqrt(self.m)
-        rows *= np.minimum(1.0, cap / np.maximum(n, 1e-300))[:, None]
+        rows *= np.minimum(1.0, self.sup_bound / np.maximum(n, 1e-300))[:, None]
         return rows
 
     def extreme_points(self):

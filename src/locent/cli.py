@@ -6,7 +6,7 @@ check-concentration, check-test, moment-check.  Global flags: --config,
 returns its files as {name: text}; they are written under --out, with
 deterministic content for fixed config and seed, and their paths printed.
 Each JSON report is canonical_json of its dataclass's fields.
-Counts (--n, --trials, --draws, --threads) must be at least 1.
+Counts (--n, --trials, --threads) must be at least 1, and --draws at least 2.
 estimate --n N runs replicate 0 of the sweep cell at N: its stage count J*
 comes from the sweep's schedule walk, which builds the profile points it
 reads and no other.  entropy, eps-star and certify-lower build the same
@@ -151,12 +151,14 @@ COMMANDS = {
 }
 
 
-def count(text: str) -> int:
-    """An integer of at least 1: the type of every count flag."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def count(least: int):
+    """The type of a count flag: an integer of at least ``least``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,12 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="INI config path")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=count, default=1)
+    parser.add_argument("--threads", type=count(1), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag, default in flags.items():
-            sp.add_argument(f"--{flag}", type=count, default=default)
+            sp.add_argument(f"--{flag}", type=count(2 if flag == "draws" else 1),
+                            default=default)
         sp.set_defaults(func=func)
     return parser
 

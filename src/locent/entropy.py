@@ -44,20 +44,20 @@ class EntropyBudget:
 
 @dataclass
 class EntropyProfile:
-    """Grid of (eps, log packing count) pairs with the entropy constant c."""
+    """Grid of (eps, log packing count) pairs with the entropy constant c;
+    adaptive at ``center``, or global when it is None."""
 
     c: float
-    kind: str  # "global" | "adaptive"
     eps: np.ndarray
     log_m: np.ndarray
     center: np.ndarray | None = None
     pool_size: int = 0
     seed: int = 0
-    center_id: str = ""
 
     def __post_init__(self):
         self.eps = np.asarray(self.eps, dtype=np.float64)
         self.log_m = np.asarray(self.log_m, dtype=np.float64)
+        self.center = None if self.center is None else np.asarray(self.center, dtype=np.float64)
         if self.c <= 1:
             raise ValueError("entropy constant c must exceed 1")
         if len(self.eps) != len(self.log_m) or len(self.eps) == 0:
@@ -66,6 +66,18 @@ class EntropyProfile:
             raise ValueError("eps grid must be strictly increasing")
         if np.any(self.log_m < 0):
             raise ValueError("log packing counts are nonnegative")
+
+    @property
+    def kind(self) -> str:
+        """The profile's kind: "adaptive" at a center, else "global"."""
+        return "global" if self.center is None else "adaptive"
+
+    @property
+    def center_id(self) -> str:
+        """A short hash of the center for the CSV; empty for a global profile."""
+        if self.center is None:
+            return ""
+        return f"adaptive@{derive_seed(0, self.center) & 0xFFFF:04x}"
 
     @property
     def saturated(self) -> np.ndarray:
@@ -142,30 +154,25 @@ def local_entropy(
     body: ConvexBody,
     eps_grid,
     c: float,
-    mode: str = "global",
     center=None,
     budget: EntropyBudget = EntropyBudget(),
     seed: int = 0,
 ) -> EntropyProfile:
-    """Greedy local entropy profile over an ascending eps grid.
+    """Greedy local entropy profile over an eps grid, taken in ascending order.
 
-    mode="global": max over sampled centers plus extreme points, stopping at
-    a pool-filling packing; mode="adaptive": the fixed ``center`` only.  Pool
-    seeds derive from (seed, eps, center row), so shared centers share pools.
+    With no ``center`` the profile is global: the max over sampled centers
+    plus extreme points, stopping at a pool-filling packing.  With one it is
+    adaptive, at that center only.  Pool seeds derive from (seed, eps,
+    center row), so shared centers share pools.
     """
-    eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
+    eps_grid = np.sort(np.asarray(eps_grid, dtype=np.float64))
+    if len(eps_grid) == 0 or not np.all(eps_grid > 0) or np.any(np.diff(eps_grid) == 0):
+        raise ValueError(f"eps_grid must be nonempty, positive and free of repeats, "
+                         f"got {eps_grid.tolist()}")
     if c <= 1:
         raise ValueError("entropy constant c must exceed 1")
-    ctr = None
-    if mode == "adaptive":
-        if center is None:
-            raise ValueError("adaptive mode needs a center")
-        ctr = body.point(center)
-        centers = np.atleast_2d(ctr)
-    elif mode == "global":
-        centers = _global_centers(body, budget, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    ctr = None if center is None else body.point(center)
+    centers = _global_centers(body, budget, seed) if ctr is None else ctr[None, :]
 
     log_m = np.zeros(len(eps_grid))
     for i, eps in enumerate(eps_grid):
@@ -179,8 +186,5 @@ def local_entropy(
             if best >= pool_ceiling(budget.pool_size):
                 break
         log_m[i] = np.log(best)
-    return EntropyProfile(
-        c=float(c), kind=mode, eps=eps_grid, log_m=log_m,
-        center=ctr, pool_size=budget.pool_size, seed=seed,
-        center_id="" if ctr is None else f"adaptive@{derive_seed(0, ctr) & 0xFFFF:04x}",
-    )
+    return EntropyProfile(c=float(c), eps=eps_grid, log_m=log_m, center=ctr,
+                          pool_size=budget.pool_size, seed=seed)

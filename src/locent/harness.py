@@ -242,12 +242,9 @@ def schedule_profile(cfg: ExperimentConfig, body: ConvexBody, constants: RateCon
     if kind == "adaptive":
         # the schedule's infimum over centers is approximated by the
         # least-entropy heuristic extreme point (vertices minimize it)
-        return local_entropy(
-            body, grid, 2.0 * constants.c, mode="adaptive", center=body.extreme_points()[0],
-            budget=cfg.profile_budget, seed=seed,
-        )
-    return local_entropy(body, grid, constants.c, mode="global",
-                         budget=cfg.profile_budget, seed=seed)
+        return local_entropy(body, grid, 2.0 * constants.c, body.extreme_points()[0],
+                             budget=cfg.profile_budget, seed=seed)
+    return local_entropy(body, grid, constants.c, budget=cfg.profile_budget, seed=seed)
 
 
 def schedule_stages(cfg: ExperimentConfig, n: int, body: ConvexBody, constants: RateConstants,
@@ -685,11 +682,10 @@ def moment_ratio_check(
     for _ in range(pairs):
         b1 = body.sample_rows(1, rng)[0]
         b2 = body.sample_rows(1, rng)[0]
-        delta = b1 - b2
-        l2 = np.linalg.norm(delta)
+        l2 = dist(body, b1, b2)
         if l2 < 1e-12:
             raise RuntimeError("sampled pair coincides")
-        z = np.abs(body.evaluate(X, delta))
+        z = np.abs(body.evaluate(X, b1 - b2))
         for q in per_p:
             lp = float(np.mean(z ** q) ** (1.0 / q))
             per_p[q] = max(per_p[q], lp / (np.sqrt(q) * l2))
@@ -780,10 +776,8 @@ def _pair_draws(body, design, noise, n, trials, rng, a, b, mag_a=None, mag_b=Non
     else:
         linear = isinstance(body, LinearBody)
 
-        def at(v, x):  # elementwise sums, not body.evaluate's x @ v
-            if v is None:
-                return None
-            return ((x * v).sum(axis=1) if linear else v[x]).reshape(-1, n)
+        def at(v, x):
+            return None if v is None else body.evaluate(x, v).reshape(-1, n)
 
         for t in _trial_chunks(trials, n * body.dim if linear else n):
             x = body.sample_design(t * n, design, rng)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntropyProfile
+from .estimator import LOG2
 
-LOG2 = float(np.log(2.0))
 BISECT_STEPS = 200  # halvings of a log-eps bracket, past machine precision
 
 
@@ -156,10 +156,13 @@ def certify_lower_bound(profile: EntropyProfile, n: int, sigma: float = 1.0) -> 
 
 @dataclass
 class KolmogorovIndex:
-    k: int | None
+    k: int | None  # None on the small-ellipsoid branch
     d_k: float | None
-    small_ellipsoid: bool
     rate: float  # k/n and a_p, whichever smaller; a_p on the small branch
+
+    @property
+    def small_ellipsoid(self) -> bool:
+        return self.k is None
 
 
 def kolmogorov_index(a, n: int) -> KolmogorovIndex:
@@ -176,18 +179,13 @@ def kolmogorov_index(a, n: int) -> KolmogorovIndex:
         raise ValueError("a must be positive and sorted ascending")
     a_p = float(a[-1])
     if a_p <= 1.0 / n:
-        return KolmogorovIndex(k=None, d_k=None, small_ellipsoid=True, rate=a_p)
+        return KolmogorovIndex(k=None, d_k=None, rate=a_p)
 
     def a_idx(i: int) -> float:  # a_i with a_0 = 0, 1-based
         return 0.0 if i == 0 else float(a[i - 1])
 
     k = next(k for k in range(1, p + 1) if a_idx(p - k) <= (k + 1.0) / n)
-    return KolmogorovIndex(
-        k=k,
-        d_k=float(np.sqrt(a_idx(p - k))),
-        small_ellipsoid=False,
-        rate=min(k / n, a_p),
-    )
+    return KolmogorovIndex(k=k, d_k=float(np.sqrt(a_idx(p - k))), rate=min(k / n, a_p))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,11 @@ class RateFormula:
 
     kind: str
     params: dict
-    degenerate_log: bool = False
+
+    @property
+    def degenerate_log(self) -> bool:
+        """The sparse boundary s = p, where log(p/s) is zero."""
+        return self.kind == "sparse_l1" and self.params["s"] == self.params["p"]
 
     def risk(self, n: int) -> float:
         lo, _ = self.bracket(n)
@@ -212,10 +214,7 @@ class RateFormula:
         p = self.params
         if k == "sparse_l1":
             s, d = p["s"], p["p"]
-            if self.degenerate_log:
-                v = s / n
-            else:
-                v = s * np.log(d / s) / n
+            v = s / n if self.degenerate_log else s * np.log(d / s) / n
             return (v, v)
         if k == "ellipsoid":
             v = kolmogorov_index(p["a"], n).rate
@@ -245,7 +244,7 @@ def theoretical_rate(kind: str, **params) -> RateFormula:
         s, p = int(params["s"]), int(params["p"])
         if not (1 <= s <= p):
             raise ValueError("need 1 <= s <= p")
-        return RateFormula(kind, {"s": s, "p": p}, degenerate_log=(s == p))
+        return RateFormula(kind, {"s": s, "p": p})
     if kind == "ellipsoid":
         a = np.asarray(params["a"], dtype=np.float64)
         if np.any(a <= 0) or np.any(np.diff(a) < 0):

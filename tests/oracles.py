@@ -8,11 +8,16 @@ None of these is on a path that a command or the sweep runs:
   candidate restriction, built on the exhaustive packing;
 * ``pairwise_test_psi``: the residual-comparison test on one data set,
   which the test-error Monte Carlo check draws through its gap alone;
+* ``grid_test_error_probability``: that test's exact probability of
+  psi = 1 on a grid class under gaussian noise, the oracle for the
+  test-error Monte Carlo check;
 * ``Singleton`` and ``scaled``: a one-point width set and a width set
   scaled by a positive factor.
 """
 
 import copy
+import itertools
+import math
 
 import numpy as np
 
@@ -78,20 +83,19 @@ def exact_local_entropy(
     candidates,
     eps_grid,
     c: float,
-    mode: str = "global",
     center=None,
 ) -> EntropyProfile:
     """Exact local entropy of the finite restriction given by ``candidates``.
 
     For each eps the largest (eps/c)-packing of candidates within the eps
-    ball is found by branch and bound; the sup ranges over the candidates
-    themselves in global mode.
+    ball is found by branch and bound; the profile is adaptive at ``center``,
+    or global with the sup ranging over the candidates themselves.
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
     pts = np.asarray(candidates, dtype=np.float64)
     eps_grid = np.asarray(sorted(eps_grid), dtype=np.float64)
-    ctr = body.point(center) if mode == "adaptive" else None
+    ctr = None if center is None else body.point(center)
     centers = pts if ctr is None else np.atleast_2d(ctr)
     log_m = np.zeros(len(eps_grid))
     for i, eps in enumerate(eps_grid):
@@ -103,10 +107,8 @@ def exact_local_entropy(
             pack = exhaustive_max_packing(body, inside, float(eps) / c)
             best = max(best, len(pack))
         log_m[i] = np.log(max(best, 1))
-    return EntropyProfile(
-        c=float(c), kind=mode, eps=eps_grid, log_m=log_m,
-        center=ctr, pool_size=len(pts), seed=0,
-    )
+    return EntropyProfile(c=float(c), eps=eps_grid, log_m=log_m, center=ctr,
+                          pool_size=len(pts), seed=0)
 
 
 def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
@@ -127,6 +129,30 @@ def pairwise_test_psi(body: ConvexBody, f, g, data: RegressionData) -> bool:
     gap = float(u @ (2.0 * data.y - s))
     mag = float(mu @ (2.0 * np.abs(data.y) + mu))
     return bool(_psi_from_gap(gap, mag, data.n, body.dim))
+
+
+def grid_test_error_probability(body: ConvexBody, f, g, truth, sigma: float, n: int) -> float:
+    """P(psi = 1) on n observations of a grid class under gaussian noise.
+
+    Given the node counts c ~ Multinomial(n, uniform), the gap rss_f - rss_g
+    is N(sum_j c_j u_j (2 t_j - s_j), 4 sigma^2 sum_j c_j u_j^2) with
+    u = g - f, s = f + g and t the truth.  So P(psi = 1) is Phi(mean / sd)
+    averaged over every c, enumerated.  u must be nonzero at every node, so
+    that sd > 0 and no gap is a tie.
+    """
+    fc, gc = np.asarray(f, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    u = gc - fc
+    if not np.all(u != 0.0) or sigma <= 0:
+        raise ValueError("need g - f nonzero at every node and sigma > 0")
+    shift = u * (2.0 * np.asarray(truth, dtype=np.float64) - (fc + gc))
+    k = body.dim
+    total = 0.0
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        c = np.diff((-1, *bars, n + k - 1)) - 1  # stars and bars: one composition of n
+        ways = math.factorial(n) // math.prod(math.factorial(int(j)) for j in c)
+        z = (c * shift).sum() / (2.0 * sigma * np.sqrt((c * u * u).sum()))
+        total += ways / k ** n * 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return total
 
 
 class Singleton(WidthSet):

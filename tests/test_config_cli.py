@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ from locent.bodies import LinearEllipsoid, dist, make_body
 from locent import cli
 from locent.cli import main
 from locent.config import KEYS, load_config_text
+
+from test_packing import _openblas_dynamic_arch
 
 MONOTONE_INI = """
 [class]
@@ -416,6 +419,27 @@ def test_cli_moment_check(tmp_path):
     assert rep["alpha_hat"] > 0 and rep["pairs"] == 8
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not _openblas_dynamic_arch(),
+                    reason="numpy's OpenBLAS cannot switch x86-64 core types here")
+def test_cli_moment_check_bytes_do_not_depend_on_blas_core(tmp_path):
+    # the distance was np.linalg.norm and the values x @ delta: under the
+    # Prescott core alpha_hat moved in its last digit
+    p = tmp_path / "sparse.ini"
+    p.write_text(SPARSE_INI)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for core in ("SkylakeX", "Haswell", "Prescott"):
+        out = tmp_path / core
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "locent.cli", "--config", str(p), "--out", str(out),
+                        "moment-check", "--trials", "20000"], env=env, check=True,
+                       capture_output=True)
+        outs.append((out / "moment.json").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 # sha256 of each JSON report as the CLI wrote it when these pins were set:
 # every field name and value and the verdict; at n = 64 the Monte Carlo
 # frequencies (0.718, 0.009/0.0115, 0.6305, 0.007/0.0075) pin the samplers too
@@ -431,7 +455,7 @@ REPORT_PINS = [
     ("sparse", ["check-test", "--n", "64", "--trials", "2000"], "test_error.json",
      "3862499f2bebff7d7b01433878fd6a708f40c982d2a735437a6b537e093a52ff"),
     ("sparse", ["moment-check", "--trials", "2000"], "moment.json",
-     "eba59aac0ee1ab63b98a7174438ee3692ce22e9803bdff51064b80893dfe5a5c"),
+     "904fb540599147df5ef52bb8886fe8b0fbcbf095d98b544fb5a112cfb8ea100a"),
     ("sparse", ["eps-star", "--n", "64"], "eps_star.json",
      "dcd595acab2d9d219003d636c3e5fc2a3c01e3e437e0fbfc69f4b341ab8b8185"),
 ]
@@ -468,26 +492,21 @@ def test_cli_flags_and_defaults(command):
                     "command": command, **SUBCOMMAND_DEFAULTS[command]}
 
 
-@pytest.mark.parametrize("argv", [
-    ["check-test", "--trials", "0"],  # died unpacking an empty chunk list
-    ["check-concentration", "--trials", "-1"],
-    ["moment-check", "--trials", "0"],
-    ["estimate", "--n", "0"],  # ran at max(n_grid)
-    ["estimate", "--n", "-4"],  # raised a numpy TypeError
-    ["widths", "--draws", "0"],
-    ["--threads", "0", "experiment"],  # ran serially
+@pytest.mark.parametrize("argv, least", [
+    (["check-test", "--trials", "0"], 1),  # died unpacking an empty chunk list
+    (["check-concentration", "--trials", "-1"], 1),
+    (["moment-check", "--trials", "0"], 1),
+    (["estimate", "--n", "0"], 1),  # ran at max(n_grid)
+    (["estimate", "--n", "-4"], 1),  # raised a numpy TypeError
+    (["widths", "--draws", "0"], 2),
+    # a width's standard error needs two draws: one died in gaussian_width
+    (["widths", "--draws", "1"], 2),
+    (["--threads", "0", "experiment"], 1),  # ran serially
 ], ids=["trials-0", "trials-negative", "moment-trials-0", "n-0", "n-negative", "draws-0",
-        "threads-0"])
-def test_cli_counts_below_one_fail_at_parse(argv, tmp_path, capsys):
+        "draws-1", "threads-0"])
+def test_cli_counts_below_one_fail_at_parse(argv, least, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path / "o"), *argv])
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-def test_cli_widths_needs_two_draws(tmp_path):
-    # one draw used to write a bare NaN standard error
-    with pytest.raises(ValueError, match="draws >= 2"):
-        main(["--out", str(tmp_path / "o"), "widths", "--draws", "1"])
+    assert f"must be at least {least}, got" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

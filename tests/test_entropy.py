@@ -72,9 +72,9 @@ def test_adaptive_at_most_global_shared_pools():
     body = LinearL1(4, 1.0)
     grid = [0.4, 0.8, 1.6]
     budget = EntropyBudget(pool_size=48, centers=5)
-    glob = local_entropy(body, grid, c=4.0, mode="global", budget=budget, seed=9)
+    glob = local_entropy(body, grid, c=4.0, budget=budget, seed=9)
     for row in body.extreme_points()[:3]:
-        adap = local_entropy(body, grid, c=4.0, mode="adaptive", center=row,
+        adap = local_entropy(body, grid, c=4.0, center=row,
                              budget=budget, seed=9)
         assert np.all(adap.log_m <= glob.log_m + 1e-12)
 
@@ -90,8 +90,8 @@ def test_adaptive_entropy_nearby_centers_lemma():
         f, g = cands[rng.integers(0, len(cands), size=2)]
         delta = dist(body, f, g) + 1e-9
         for eps in (delta * 1.5, delta * 3.0):
-            lhs = exact_local_entropy(body, cands, [eps], c=2.0, mode="adaptive", center=f)
-            rhs = exact_local_entropy(body, cands, [2 * eps], c=4.0, mode="adaptive", center=g)
+            lhs = exact_local_entropy(body, cands, [eps], c=2.0, center=f)
+            rhs = exact_local_entropy(body, cands, [2 * eps], c=4.0, center=g)
             assert lhs.log_m[0] <= rhs.log_m[0] + 1e-12
 
 
@@ -103,13 +103,13 @@ def test_sparse_center_adaptive_entropy_bounded_by_cone_width():
     beta = np.zeros(p)
     beta[:s] = 0.5
     cap = 2.0 * c * c * (sparse_cone_width_bound(s, p) + 1.0)
-    prof = local_entropy(body, [0.05, 0.2, 0.8], c=c, mode="adaptive", center=beta,
+    prof = local_entropy(body, [0.05, 0.2, 0.8], c=c, center=beta,
                          budget=EntropyBudget(pool_size=128), seed=2)
     assert np.all(prof.log_m <= cap)
 
 
 def test_monotonization_running_max_and_slack():
-    prof = EntropyProfile(c=2.0, kind="global", eps=np.array([0.1, 0.2, 0.4]),
+    prof = EntropyProfile(c=2.0, eps=np.array([0.1, 0.2, 0.4]),
                           log_m=np.array([3.0, 2.9, 3.1]))
     with pytest.raises(ValueError, match=r"monotonization changed the profile by 0\.069 > 0\.01"):
         prof.monotonized(max_rel_slack=0.01)
@@ -121,14 +121,14 @@ def test_monotonization_running_max_and_slack():
 def test_value_interpolation_exact_on_power_laws():
     eps = np.geomspace(1e-3, 1e2, 41)
     for q in (0.5, 1.0, 4.0):
-        prof = EntropyProfile(c=2.0, kind="global", eps=eps, log_m=eps ** -q)
+        prof = EntropyProfile(c=2.0, eps=eps, log_m=eps ** -q)
         for e in np.geomspace(2e-3, 50.0, 17):
             assert np.isclose(prof.value(e), e ** -q, rtol=1e-12)
 
 
 def test_value_at_a_grid_point_is_its_log_count():
     # interior points used to come back as exp(log(y)), 1 ulp off log 16
-    prof = EntropyProfile(c=2.0, kind="global", eps=[0.125, 0.25, 0.5, 1.0, 2.0],
+    prof = EntropyProfile(c=2.0, eps=[0.125, 0.25, 0.5, 1.0, 2.0],
                           log_m=np.log([64.0, 16.0, 16.0, 3.0, 1.0]))
     assert [prof.value(e) for e in prof.eps] == list(prof.log_m)
 
@@ -161,8 +161,8 @@ def test_adaptive_profile_csv_same_across_hash_seeds():
     script = (
         "from locent.bodies import LinearL1\n"
         "from locent.entropy import EntropyBudget, local_entropy\n"
-        "prof = local_entropy(LinearL1(3, 1.0), [0.5, 1.0], 2.0, mode='adaptive',\n"
-        "                     center=[1.0, 0.0, 0.0], budget=EntropyBudget(16, 0), seed=3)\n"
+        "prof = local_entropy(LinearL1(3, 1.0), [0.5, 1.0], 2.0, center=[1.0, 0.0, 0.0],\n"
+        "                     budget=EntropyBudget(16, 0), seed=3)\n"
         "print(prof.to_csv(), end='')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -203,8 +203,7 @@ def full_scan(body, grid, c, budget, center, seed):
 
 
 def _profile(body, grid, c, budget, center, seed):
-    mode = "global" if center is None else "adaptive"
-    return local_entropy(body, grid, c, mode=mode, center=center, budget=budget, seed=seed)
+    return local_entropy(body, grid, c, center, budget=budget, seed=seed)
 
 
 @pytest.mark.parametrize("case", list(SCANS))
@@ -236,7 +235,7 @@ def test_saturated_is_derived_and_survives_csv_and_monotonization():
     assert prof.saturated.any() and not prof.saturated.all()
     # the CSV's log_m and pool_size columns give the same flags
     rows = list(csv.DictReader(io.StringIO(prof.to_csv())))
-    back = EntropyProfile(c=prof.c, kind=prof.kind, eps=[float(r["eps"]) for r in rows],
+    back = EntropyProfile(c=prof.c, eps=[float(r["eps"]) for r in rows],
                           log_m=[float(r["log_m"]) for r in rows],
                           pool_size=int(rows[0]["pool_size"]))
     assert np.array_equal(back.saturated, prof.saturated)
@@ -251,9 +250,9 @@ def test_adaptive_profiles_keep_a_private_center():
     body = LinearL1(3)
     cands = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for build in (
-        lambda x: local_entropy(body, [0.5, 1.0], 2.0, mode="adaptive", center=x,
+        lambda x: local_entropy(body, [0.5, 1.0], 2.0, center=x,
                                 budget=EntropyBudget(pool_size=16)),
-        lambda x: exact_local_entropy(body, cands, [0.5, 1.0], 2.0, mode="adaptive", center=x),
+        lambda x: exact_local_entropy(body, cands, [0.5, 1.0], 2.0, center=x),
     ):
         x = np.array([1.0, 0.0, 0.0])
         prof = build(x)
@@ -261,3 +260,29 @@ def test_adaptive_profiles_keep_a_private_center():
         assert np.array_equal(prof.center, [1.0, 0.0, 0.0])
         assert not prof.center.flags.writeable
         assert prof.to_csv() == build(np.array([1.0, 0.0, 0.0])).to_csv()
+
+
+@pytest.mark.parametrize("grid", [[], [0.0, 0.5], [-0.5, 0.5], [0.5, 0.25, 0.5]],
+                         ids=["empty", "zero", "negative", "repeat"])
+def test_bad_eps_grid_fails_before_any_pool(grid, monkeypatch):
+    # zero and negative eps failed inside the packing with other messages; a
+    # repeat failed only after every packing was built
+    def no_packing(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(locent.entropy, "greedy_max_packing", no_packing)
+    with pytest.raises(ValueError, match="eps_grid must be nonempty, positive and free of"):
+        local_entropy(LinearL1(3), grid, 2.0, budget=EntropyBudget(pool_size=16))
+
+
+def test_profile_kind_and_center_id_follow_the_center():
+    # both used to be constructor fields, free to contradict the center
+    body = LinearL1(3)
+    budget = EntropyBudget(pool_size=16, centers=0)
+    glob = local_entropy(body, [0.5, 1.0], 2.0, budget=budget)
+    adap = local_entropy(body, [0.5, 1.0], 2.0, [1.0, 0.0, 0.0], budget=budget)
+    assert (glob.kind, glob.center_id) == ("global", "")
+    assert adap.kind == "adaptive" and adap.center_id.startswith("adaptive@")
+    given = EntropyProfile(c=2.0, eps=adap.eps, log_m=adap.log_m, center=[1.0, 0.0, 0.0])
+    assert (given.kind, given.center_id) == (adap.kind, adap.center_id)
+    assert given.monotonized().center_id == adap.center_id

@@ -334,7 +334,7 @@ def test_psi_identical_hypotheses():
 
 
 def flat_profile(c, value, lo=1e-4, hi=16.0):
-    return EntropyProfile(c=c, kind="global", eps=np.array([lo, hi]),
+    return EntropyProfile(c=c, eps=np.array([lo, hi]),
                           log_m=np.array([value, value]))
 
 
@@ -393,7 +393,7 @@ def test_schedule_power_profile_matches_direct_scan():
     consts = RateConstants(C=4.0, L_paper=1.0)
     c, d = consts.c, 1.0
     eps_grid = np.geomspace(1e-5, 8.0, 120)
-    prof = EntropyProfile(c=c, kind="global", eps=eps_grid,
+    prof = EntropyProfile(c=c, eps=eps_grid,
                           log_m=eps_grid ** (-2.0 * (p - 1)))
     j_star = stage_schedule(prof.value, n, consts, "bounded", d, max_stages=60)
 
@@ -431,7 +431,7 @@ def test_schedule_prefix_gives_the_ladder_j_star(kind, max_stages):
     c = 2.0 * consts.c if kind == "adaptive" else consts.c
     ladder = np.array(sorted(d * 2.0 ** (2 - j) for j in range(max_stages + 3)))
     log_m = np.log(np.ceil(3.0 * (4.0 * d / ladder) ** 0.7))
-    full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m)
+    full = EntropyProfile(c=c, eps=ladder, log_m=log_m)
     seen = set()
     for n in np.unique(np.geomspace(1, 1e11, 400).astype(int)):
         read, reads = recording(full.value)
@@ -460,7 +460,7 @@ def test_schedule_start_gives_the_ladder_j_star(kind, max_stages):
     ladder = np.array(sorted(d * 2.0 ** (2 - j) for j in range(max_stages + 3)))
     log_m = np.minimum(np.log(np.ceil(3.0 * (4.0 * d / ladder) ** 1.6)), ceiling)
     assert log_m[0] == ceiling > log_m[-1]
-    full = EntropyProfile(c=c, kind=kind, eps=ladder, log_m=log_m, pool_size=192)
+    full = EntropyProfile(c=c, eps=ladder, log_m=log_m, pool_size=192)
     seen = set()
     for n in np.unique(np.geomspace(1, 1e11, 400).astype(int)):
         j_star = stage_schedule(full.value, n, consts, kind, d, max_stages=max_stages)
@@ -515,10 +515,10 @@ def test_schedule_adaptive_uses_doubled_argument():
     c2 = 2.0 * consts.c
     # big entropy above eps = 3, zero below: J=1 has argument 2d=2 (bounded)
     # vs 4 (adaptive)
-    prof = EntropyProfile(c=c2, kind="adaptive", eps=np.array([0.01, 3.0, 3.01, 8.0]),
+    prof = EntropyProfile(c=c2, eps=np.array([0.01, 3.0, 3.01, 8.0]),
                           log_m=np.array([0.0, 0.0, 50.0, 50.0]),
                           center=np.zeros(1))
     # blocked by the huge entropy at arg 4
     assert stage_schedule(prof.value, n, consts, "adaptive", d) == 1
-    prof_b = EntropyProfile(c=consts.c, kind="global", eps=prof.eps, log_m=prof.log_m)
+    prof_b = EntropyProfile(c=consts.c, eps=prof.eps, log_m=prof.log_m)
     assert stage_schedule(prof_b.value, n, consts, "bounded", d) == 2  # argument 2 sees zero entropy

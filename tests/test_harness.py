@@ -40,6 +40,8 @@ from locent.harness import (
     run_experiment,
 )
 
+from oracles import grid_test_error_probability
+
 
 # -- slope fitting -------------------------------------------------------------
 
@@ -664,6 +666,22 @@ def test_check_test_error_rademacher_ties_give_psi_one(monkeypatch, f, g, tie_pl
                                  NoiseModel("scaled_rademacher", 1.0), n, trials):
         for got, want in [(rep.freq_h0, want_h0), (rep.freq_h1, want_h1)]:
             assert abs(got - want) <= 4.0 * np.sqrt(want * (1.0 - want) / trials), (got, want)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_check_test_error_matches_the_exact_gaussian_oracle(n):
+    # g - f varies over the nodes, so the error probability depends on the
+    # law of the node counts: about 0.24 at n = 40 and 0.13 at n = 100
+    body = MonotoneGrid(1, 2)
+    f, g = body.point([0.2, 0.5]), body.point([0.3, 0.8])
+    trials = 20_000
+    rep = check_test_error(body, f, g, f, NoiseModel("gaussian", 1.0), n,
+                           RateConstants.bounded(4.0, 1.0, 1.0), trials=trials)
+    want_h0 = grid_test_error_probability(body, f, g, f, 1.0, n)
+    want_h1 = 1.0 - grid_test_error_probability(body, f, g, g, 1.0, n)
+    for got, want in [(rep.freq_h0, want_h0), (rep.freq_h1, want_h1)]:
+        assert 0.05 < want < 0.3
+        assert abs(got - want) <= 4.0 * np.sqrt(want * (1.0 - want) / trials), (got, want)
 
 
 def test_check_test_error_precondition():

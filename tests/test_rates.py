@@ -17,13 +17,13 @@ LOG2 = np.log(2.0)
 
 
 def constant_profile(k, c=10.0, lo=1e-6, hi=1e3):
-    return EntropyProfile(c=c, kind="global", eps=np.array([lo, hi]),
+    return EntropyProfile(c=c, eps=np.array([lo, hi]),
                           log_m=np.array([float(k), float(k)]))
 
 
 def power_profile(q, c=10.0, lo=1e-6, hi=1e3, points=120):
     eps = np.geomspace(lo, hi, points)
-    return EntropyProfile(c=c, kind="global", eps=eps, log_m=eps ** -q)
+    return EntropyProfile(c=c, eps=eps, log_m=eps ** -q)
 
 
 # -- eps* solver ---------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_eps_star_bracketing_invariant():
 def test_eps_star_below_the_grid():
     # n eps^2 > log M already at the smallest eps: the constant extension
     # below the grid gives eps* = sqrt(log M(eps_1) / n)
-    prof = EntropyProfile(c=10.0, kind="global", eps=np.array([0.5, 1.0]),
+    prof = EntropyProfile(c=10.0, eps=np.array([0.5, 1.0]),
                           log_m=np.array([2.0, 1.0]))
     cert = solve_eps_star(prof, 100)
     assert cert.eps_star == np.sqrt(0.02)
@@ -109,7 +109,7 @@ def test_eps_star_upper_rate_capped_by_diameter():
 
 
 def test_monotonization_slack_guard():
-    prof = EntropyProfile(c=4.0, kind="global", eps=np.array([0.1, 0.2, 0.4]),
+    prof = EntropyProfile(c=4.0, eps=np.array([0.1, 0.2, 0.4]),
                           log_m=np.array([1.0, 0.5, 1.0]))
     with pytest.raises(ValueError, match="monotonization changed the profile by"):
         solve_eps_star(prof, 100)

@@ -178,5 +178,5 @@ def test_adaptive_entropy_below_cone_width_sudakov_chain():
     cands = np.array([[a, b] for a in base for b in base if abs(a) + abs(b) <= 1.0 + 1e-12])
     cone_w = gaussian_width(SparseTangentConeBall(beta), draws=100_000, seed=3).value
     for eps in (0.5, 1.0):
-        prof = exact_local_entropy(body, cands, [eps], c=c, mode="adaptive", center=beta)
+        prof = exact_local_entropy(body, cands, [eps], c=c, center=beta)
         assert prof.log_m[0] <= 2.0 * c * c * cone_w ** 2 + 1e-9
